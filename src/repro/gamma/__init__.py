@@ -26,6 +26,7 @@ from .compiled import (
     CompiledMatch,
     CompiledReaction,
     MatchPlan,
+    compile_cache_info,
     compile_expr,
     compile_reaction,
     evaluate_productions,
@@ -57,7 +58,7 @@ __all__ = [
     "ReactionScheduler", "greedy_disjoint_matches",
     # reaction compilation
     "CompiledReaction", "CompiledMatch", "MatchPlan", "CompilationError",
-    "compile_reaction", "compile_expr", "evaluate_productions",
+    "compile_reaction", "compile_expr", "compile_cache_info", "evaluate_productions",
     # engines
     "GammaEngine", "SequentialEngine", "ChaoticEngine", "MaxParallelEngine",
     "ParallelEngine", "ExecutionResult", "NonTerminationError", "run", "run_program",

@@ -1,12 +1,22 @@
-"""Reaction compilation: specialize matching, guards and productions per reaction.
+"""Reaction compilation: per-shape codegen, per-reaction bindings.
 
 The interpreted pipeline pays a fixed interpretive tax on every candidate
 probe: :meth:`ElementPattern.match` copies a binding dict per candidate,
 guards and productions tree-walk the :class:`~repro.gamma.expr.Expr` AST per
 evaluation, and every field access re-dispatches on ``Var``/``Const``.  A
 reaction, however, is *static* for the lifetime of a run while being probed
-millions of times — the classic staging opportunity.  This module compiles
-each reaction once into:
+millions of times — the classic staging opportunity.  And the reactions of one
+program are rarely structurally distinct: Algorithm 1 turns a 512-operator DAG
+into 519 reactions drawn from five *shapes* that differ only in edge labels
+and literals.  The compiler is therefore staged twice:
+
+**Stage 1, shape -> code** (once per structural key, cached).
+:func:`_canonicalise` reduces a reaction to a :class:`ReactionShape` — arity,
+per-pattern field kinds (constant slot or variable, for value/label/tag),
+which pattern pairs could bind equal elements, and the guard and branch-
+condition ASTs with every constant and comparison helper *lifted to a
+parameter position*.  No label, literal or ``id()`` is part of the key.  From
+the key alone the compiler derives
 
 * a **match plan** — the replace-list patterns reordered by selectivity
   (patterns whose label/tag are already known — constants or variables bound
@@ -17,23 +27,42 @@ each reaction once into:
   generated matcher keeps the slot vector in local variables of one stack
   frame (the compiled form of a flat slot list), so candidate probes bind and
   compare scalars instead of copying dicts;
-* **codegenned matchers** — for each reaction, four specialized functions are
-  produced with :func:`compile`: deterministic and shuffled variants of
-  ``find`` (first enabled match) and ``iterate`` (all enabled matches).  The
-  nested candidate loops are unrolled per pattern, bucket lookups are inlined
-  against the :class:`~repro.multiset.index.LabelTagIndex` raw buckets, and
-  the consumed-multiplicity check is an O(1) comparison against the elements
+* **codegenned matcher factories** — deterministic and shuffled variants of
+  ``find`` (first enabled match) and ``iterate`` (all enabled matches), plus
+  the two lazy superstep collectors, each emitted as
+  ``def make(C, H): def matcher(...): ...; return matcher`` and
+  ``compile()``d/``exec``'d once into a bounded module-level
+  :class:`~repro.gamma.codecache.CodeCache`.  The nested candidate loops are
+  unrolled per pattern, bucket lookups are inlined against the
+  :class:`~repro.multiset.index.LabelTagIndex` raw buckets, and the
+  consumed-multiplicity check is an O(1) comparison against the elements
   already chosen by the enclosing loops (no ``sum(...)``/``multiset.count``
-  rescan per candidate);
-* **compiled guards and productions** — expressions are lowered to Python
-  source and compiled to closures; comparison nodes go through tiny wrappers
-  that preserve the interpreter's ``EvaluationError`` semantics, and any
-  expression the code generator does not understand (e.g. a user-defined
-  :class:`Expr` subclass) falls back to *closure composition* over the node's
-  own ``evaluate`` — semantics are never lost to the optimizer.
+  rescan per candidate).
+
+Guards and productions evaluated outside the matcher (``lambda E: ...``
+closures over a binding dict) and the columnar mask programs of
+:mod:`repro.gamma.vectorized` go through caches of the same kind, keyed by
+their own constant-lifted ASTs.
+
+**Stage 2, reaction -> bindings** (once per reaction, cheap).
+``CompiledReaction(reaction)`` collects the reaction's ``C`` (labels, tags,
+literals) and ``H`` (comparison wrappers that preserve the interpreter's
+``EvaluationError`` semantics, late-registered operators, and closure-
+composition fallbacks for user-defined :class:`Expr` subclasses) tuples in the
+same walk that builds the key, looks the shape up, and calls the cached
+factories.  A shape hit involves no source emission, no ``compile()`` and no
+``exec``.  :func:`compile_cache_info` reports shapes, hits, misses and
+evictions; generated sources are registered with :mod:`linecache` under
+``<compiled-shape N:variant>``, and every matcher's ``__qualname__`` carries
+its reaction's name.
 
 Equivalence contract
 --------------------
+
+Sharing is invisible: two reactions of one shape run the *same source* over
+their own bindings — exactly the source a per-reaction compile would emit —
+so enumeration order, RNG consumption and raised exceptions cannot depend on
+whether the shape was already cached.
 
 For reactions whose match plan is the identity permutation — which includes
 every reaction of the paper's listings and of Algorithm 1's output that the
@@ -52,11 +81,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..multiset.element import Element
 from ..multiset.index import LabelTagIndex
 from ..multiset.multiset import Multiset
+from .codecache import CodeCache, CodeUnit
 from .expr import (
     ARITHMETIC_OPS,
     COMPARISON_OPS,
@@ -76,9 +117,12 @@ from .reaction import Reaction
 
 __all__ = [
     "CompilationError",
+    "CompileCacheInfo",
     "CompiledMatch",
     "CompiledReaction",
     "MatchPlan",
+    "ReactionShape",
+    "compile_cache_info",
     "compile_expr",
     "compile_reaction",
     "evaluate_productions",
@@ -95,7 +139,7 @@ class _Unsupported(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Expression lowering
+# Canonicalisation: Expr -> structural key + lifted (C, H) bindings
 # ---------------------------------------------------------------------------
 
 def _make_cmp(fn: Callable[[Any, Any], bool], node: Compare) -> Callable[[Any, Any], bool]:
@@ -111,53 +155,104 @@ def _make_cmp(fn: Callable[[Any, Any], bool], node: Compare) -> Callable[[Any, A
     return compare
 
 
-def _lower(
-    expr: Expr,
-    ref: Callable[[str], str],
-    consts: List[Any],
-    helpers: List[Callable],
-) -> str:
-    """Lower ``expr`` to a Python source fragment.
+#: Arithmetic operators rendered inline; any other ``ARITHMETIC_OPS`` entry
+#: (registered after this module was written) is called through ``H``,
+#: exactly like ``BinOp.evaluate`` does.
+_INLINE_OPS = frozenset(("+", "-", "*", "%", "/", "min", "max"))
+
+
+class _Canon:
+    """One canonicalisation pass: structural keys out, bindings aside.
+
+    Keys are nested tuples holding operators, variable names and *positions*
+    only — ``("v", name)``, ``("c", i)`` for ``C[i]``, ``("h", j, l, r)`` for
+    ``H[j](l, r)``, ``(op, l, r)``, ``("not", x)`` and ``("env", j, names)``
+    for a whole expression delegated to the composed closure ``H[j]``.  What
+    was lifted out lands in ``consts`` (``C``: labels, tags, literals) and
+    ``helpers`` (``H``: comparison wrappers, late-registered operators,
+    composed fallbacks), in walk order, so reactions with equal keys run the
+    same code over their own ``(C, H)``.
+    """
+
+    __slots__ = ("consts", "helpers")
+
+    def __init__(self) -> None:
+        self.consts: List[Any] = []
+        self.helpers: List[Callable] = []
+
+    def const(self, value: Any) -> Tuple:
+        """Intern ``value`` in the constant pool; returns its key."""
+        self.consts.append(value)
+        return ("c", len(self.consts) - 1)
+
+    def helper(self, fn: Callable) -> int:
+        """Intern ``fn`` in the helper table; returns its position."""
+        self.helpers.append(fn)
+        return len(self.helpers) - 1
+
+    def field(self, field_expr: Expr) -> Tuple:
+        """Key of a pattern field (``ElementPattern`` admits Var/Const only)."""
+        if isinstance(field_expr, Const):
+            return self.const(field_expr.value)
+        return ("v", field_expr.name)  # type: ignore[attr-defined]
+
+    def expr(self, expr: Expr) -> Tuple:
+        """Key of ``expr``; raises :class:`_Unsupported` for unknown nodes."""
+        if isinstance(expr, Var):
+            return ("v", expr.name)
+        if isinstance(expr, Const):
+            return self.const(expr.value)
+        if isinstance(expr, BinOp):
+            left, right = self.expr(expr.left), self.expr(expr.right)
+            if expr.op in _INLINE_OPS:
+                return (expr.op, left, right)
+            return ("h", self.helper(ARITHMETIC_OPS[expr.op]), left, right)
+        if isinstance(expr, Compare):
+            left, right = self.expr(expr.left), self.expr(expr.right)
+            return ("h", self.helper(_make_cmp(COMPARISON_OPS[expr.op], expr)), left, right)
+        if isinstance(expr, BoolOp):
+            return (expr.op, self.expr(expr.left), self.expr(expr.right))
+        if isinstance(expr, Not):
+            return ("not", self.expr(expr.operand))
+        raise _Unsupported(f"cannot lower {type(expr).__name__}")
+
+    def condition(self, expr: Expr) -> Tuple:
+        """Key of a matcher condition, with the closure-composition fallback."""
+        n_consts, n_helpers = len(self.consts), len(self.helpers)
+        try:
+            return self.expr(expr)
+        except _Unsupported:
+            del self.consts[n_consts:]
+            del self.helpers[n_helpers:]
+            return ("env", self.helper(_compose(expr)), tuple(sorted(expr.variables())))
+
+
+def _render(key: Tuple, ref: Callable[[str], str]) -> str:
+    """Render an expression key as a Python source fragment.
 
     ``ref`` renders a variable reference (a slot local for the matcher, an
-    ``E[...]`` lookup for env closures).  Constants are routed through the
-    ``C`` table so arbitrary values need no ``repr`` round-trip; comparison
-    nodes and unknown arithmetic operators go through the ``H`` helper table.
-    Raises :class:`_Unsupported` for unknown node types.
+    ``E[...]`` lookup for env closures).
     """
-    if isinstance(expr, Var):
-        return ref(expr.name)
-    if isinstance(expr, Const):
-        consts.append(expr.value)
-        return f"C[{len(consts) - 1}]"
-    if isinstance(expr, BinOp):
-        left = _lower(expr.left, ref, consts, helpers)
-        right = _lower(expr.right, ref, consts, helpers)
-        op = expr.op
-        if op in ("+", "-", "*", "%"):
-            return f"({left} {op} {right})"
-        if op == "/":
-            return f"_div({left}, {right})"
-        if op in ("min", "max"):
-            return f"{op}({left}, {right})"
-        # Operator registered in ARITHMETIC_OPS after this module was written:
-        # call it directly, exactly like BinOp.evaluate does.
-        helpers.append(ARITHMETIC_OPS[op])
-        return f"H[{len(helpers) - 1}]({left}, {right})"
-    if isinstance(expr, Compare):
-        left = _lower(expr.left, ref, consts, helpers)
-        right = _lower(expr.right, ref, consts, helpers)
-        helpers.append(_make_cmp(COMPARISON_OPS[expr.op], expr))
-        return f"H[{len(helpers) - 1}]({left}, {right})"
-    if isinstance(expr, BoolOp):
-        left = _lower(expr.left, ref, consts, helpers)
-        right = _lower(expr.right, ref, consts, helpers)
-        joiner = "and" if expr.op == "and" else "or"
-        return f"(bool({left}) {joiner} bool({right}))"
-    if isinstance(expr, Not):
-        operand = _lower(expr.operand, ref, consts, helpers)
-        return f"(not bool({operand}))"
-    raise _Unsupported(f"cannot lower {type(expr).__name__}")
+    tag = key[0]
+    if tag == "v":
+        return ref(key[1])
+    if tag == "c":
+        return f"C[{key[1]}]"
+    if tag == "h":
+        return f"H[{key[1]}]({_render(key[2], ref)}, {_render(key[3], ref)})"
+    if tag == "not":
+        return f"(not bool({_render(key[1], ref)}))"
+    if tag == "env":
+        env = ", ".join(f"{name!r}: {ref(name)}" for name in key[2])
+        return f"H[{key[1]}]({{{env}}})"
+    left, right = _render(key[1], ref), _render(key[2], ref)
+    if tag in ("and", "or"):
+        return f"(bool({left}) {tag} bool({right}))"
+    if tag == "/":
+        return f"_div({left}, {right})"
+    if tag in ("min", "max"):
+        return f"{tag}({left}, {right})"
+    return f"({left} {tag} {right})"
 
 
 def _compose(expr: Expr) -> Callable[[Binding], Any]:
@@ -188,6 +283,22 @@ def _compose(expr: Expr) -> Callable[[Binding], Any]:
     return expr.evaluate
 
 
+#: Globals of every generated module (builtins pinned to one dict lookup).
+_NAMESPACE: Dict[str, Any] = {
+    "_div": _safe_div,
+    "bool": bool,
+    "list": list,
+    "min": min,
+    "max": max,
+    "id": id,
+    "len": len,
+    "range": range,
+}
+
+#: Stage-1 cache of ``lambda E: ...`` closure factories, keyed by expression key.
+_EXPRS = CodeCache("compiled-expr", _NAMESPACE)
+
+
 def _compile_env_expr(expr: Expr) -> Callable[[Binding], Any]:
     """Compile ``expr`` to a closure over a binding dict, without the unbound-
     variable guard.
@@ -196,21 +307,19 @@ def _compile_env_expr(expr: Expr) -> Callable[[Binding], Any]:
     under bindings whose completeness ``Reaction._validate_variables`` already
     proved, so the per-call guard would be dead weight on the firing path.
     """
-    consts: List[Any] = []
-    helpers: List[Callable] = []
+    canon = _Canon()
     try:
-        src = _lower(expr, lambda name: f"E[{name!r}]", consts, helpers)
+        key = canon.expr(expr)
     except _Unsupported:
         return _compose(expr)
-    namespace = {
-        "C": tuple(consts),
-        "H": tuple(helpers),
-        "_div": _safe_div,
-        "bool": bool,
-        "min": min,
-        "max": max,
-    }
-    return eval(compile(f"lambda E: {src}", "<compiled-expr>", "eval"), namespace)
+    make, _ = _EXPRS.get(key).factory(
+        "lambda",
+        lambda: (
+            "def make(C, H):\n"
+            f"    return lambda E: {_render(key, lambda name: f'E[{name!r}]')}\n"
+        ),
+    )
+    return make(tuple(canon.consts), tuple(canon.helpers))
 
 
 def compile_expr(expr: Expr) -> Callable[[Binding], Any]:
@@ -234,12 +343,72 @@ def compile_expr(expr: Expr) -> Callable[[Binding], Any]:
 
 
 # ---------------------------------------------------------------------------
-# Match plan
+# Reaction shape + match plan
 # ---------------------------------------------------------------------------
+
+def _fields_could_collide(a: ElementPattern, b: ElementPattern) -> bool:
+    """Could the two patterns ever match equal elements?
+
+    Used to prune the consumed-multiplicity check at compile time: two
+    patterns with different constant fields can never bind equal elements, so
+    no runtime occurrence counting is needed between them.
+    """
+    for fa, fb in ((a.value, b.value), (a.label, b.label), (a.tag, b.tag)):
+        if isinstance(fa, Const) and isinstance(fb, Const) and not (fa.value == fb.value):
+            return False
+    return True
+
+
+class ReactionShape(NamedTuple):
+    """Structural key of a reaction: everything codegen reads, nothing else.
+
+    ``patterns[p]`` holds the ``(value, label, tag)`` field keys of replace-
+    list pattern ``p`` — ``("c", i)`` for the constant ``C[i]``, ``("v",
+    name)`` for a variable.  ``collide[p][q]`` (``q < p``) says whether
+    patterns ``q`` and ``p`` could bind equal elements (the one place where
+    constant *values* shape the code: distinct constants prune the
+    multiplicity check).  ``guard`` is the guard's expression key or ``None``;
+    ``conditions`` are the branch-condition keys in declaration order up to
+    and including the first unconditional branch (``None``).  Labels, tags and
+    literals are absent: they are the reaction's ``C`` tuple.
+    """
+
+    patterns: Tuple[Tuple[Tuple, Tuple, Tuple], ...]
+    collide: Tuple[Tuple[bool, ...], ...]
+    guard: Optional[Tuple]
+    conditions: Tuple[Optional[Tuple], ...]
+
+
+def _canonicalise(reaction: Reaction) -> Tuple[ReactionShape, Tuple[Any, ...], Tuple[Callable, ...]]:
+    """Split ``reaction`` into its shape and its ``(C, H)`` bindings."""
+    canon = _Canon()
+    replace = reaction.replace
+    patterns = tuple(
+        (canon.field(pat.value), canon.field(pat.label), canon.field(pat.tag))
+        for pat in replace
+    )
+    collide = tuple(
+        tuple(_fields_could_collide(replace[q], pat) for q in range(p))
+        for p, pat in enumerate(replace)
+    )
+    guard = None if reaction.guard is None else canon.condition(reaction.guard)
+    # Branch conditions are or-ed in declaration order, mirroring
+    # ``enabled_branch``'s first-true scan: conditions after the first
+    # unconditional branch are never evaluated, conditions before it are
+    # (they may raise, and the interpreter would evaluate them too).
+    conditions: List[Optional[Tuple]] = []
+    for branch in reaction.branches:
+        if branch.condition is None:
+            conditions.append(None)
+            break
+        conditions.append(canon.condition(branch.condition))
+    shape = ReactionShape(patterns, collide, guard, tuple(conditions))
+    return shape, tuple(canon.consts), tuple(canon.helpers)
+
 
 @dataclass(frozen=True)
 class MatchPlan:
-    """The compile-time search strategy for one reaction.
+    """The compile-time search strategy for one reaction shape.
 
     ``order[k]`` is the original replace-list index probed at plan position
     ``k``; ``selectivity[k]`` records ``(label_known, tag_known)`` at the
@@ -265,13 +434,7 @@ class MatchPlan:
         return {name: i for i, name in enumerate(self.slots)}
 
 
-def _field_known(field_expr: Expr, bound: FrozenSet[str]) -> bool:
-    if isinstance(field_expr, Const):
-        return True
-    return field_expr.name in bound  # type: ignore[union-attr]
-
-
-def _plan(reaction: Reaction) -> MatchPlan:
+def _plan(patterns: Sequence[Tuple[Tuple, Tuple, Tuple]]) -> MatchPlan:
     """Greedy selectivity ordering with bound-variable propagation.
 
     At each step the pattern with the most index leverage is chosen:
@@ -281,56 +444,38 @@ def _plan(reaction: Reaction) -> MatchPlan:
     choice counts as known-tag — the shared-``v``-tag reactions produced by
     Algorithm 1 resolve their tag join at compile time this way.
     """
-    patterns = reaction.replace
     slots: List[str] = []
-    seen = set()
-    for pat in patterns:
-        for field_expr in (pat.value, pat.label, pat.tag):
-            if isinstance(field_expr, Var) and field_expr.name not in seen:
-                seen.add(field_expr.name)
-                slots.append(field_expr.name)
+    for fields in patterns:
+        for kind, name in fields:
+            if kind == "v" and name not in slots:
+                slots.append(name)
 
     remaining = list(range(len(patterns)))
     bound: set = set()
     order: List[int] = []
     selectivity: List[Tuple[bool, bool]] = []
 
+    def rank(i: int) -> Tuple[int, int, int]:
+        """Selectivity key: known-label, then known-tag, then declaration order."""
+        _, label, tag = patterns[i]
+        label_known = label[0] == "c" or label[1] in bound
+        tag_known = tag[0] == "c" or tag[1] in bound
+        return (0 if label_known else 1, 0 if tag_known else 1, i)
+
     while remaining:
-        frozen_bound = frozenset(bound)
-
-        def rank(i: int) -> Tuple[int, int, int]:
-            """Selectivity key: known-label, then known-tag, then declaration order."""
-            pat = patterns[i]
-            label_known = _field_known(pat.label, frozen_bound)
-            tag_known = _field_known(pat.tag, frozen_bound)
-            return (0 if label_known else 1, 0 if tag_known else 1, i)
-
         best = min(remaining, key=rank)
         key = rank(best)
         order.append(best)
         selectivity.append((key[0] == 0, key[1] == 0))
         remaining.remove(best)
-        bound |= patterns[best].variables()
+        bound.update(name for kind, name in patterns[best] if kind == "v")
 
     return MatchPlan(order=tuple(order), slots=tuple(slots), selectivity=tuple(selectivity))
 
 
 # ---------------------------------------------------------------------------
-# Matcher code generation
+# Matcher code generation (shape -> factory source)
 # ---------------------------------------------------------------------------
-
-def _fields_could_collide(a: ElementPattern, b: ElementPattern) -> bool:
-    """Could the two patterns ever match equal elements?
-
-    Used to prune the consumed-multiplicity check at compile time: two
-    patterns with different constant fields can never bind equal elements, so
-    no runtime occurrence counting is needed between them.
-    """
-    for fa, fb in ((a.value, b.value), (a.label, b.label), (a.tag, b.tag)):
-        if isinstance(fa, Const) and isinstance(fb, Const) and not (fa.value == fb.value):
-            return False
-    return True
-
 
 class _SourceWriter:
     """Indentation-aware line accumulator for generated matcher source."""
@@ -344,58 +489,100 @@ class _SourceWriter:
         self.lines.append("    " * self.indent + line)
 
 
-def _emit_matcher_body(
-    writer: _SourceWriter,
-    reaction: Reaction,
-    plan: MatchPlan,
-    consts: List[Any],
-    helpers: List[Callable],
-    shuffled: bool,
-    emit: str,
-) -> None:
+class _MatcherEmitter:
+    """Shared pieces of the matcher variants emitted for one shape.
+
+    Reads the :class:`ReactionShape` and its plan only, so the source is a
+    function of the cache key by construction.
+    """
+
+    def __init__(self, shape: ReactionShape, plan: MatchPlan) -> None:
+        self.shape = shape
+        self.plan = plan
+        self.writer = _SourceWriter()
+        self.bound: set = set()
+        self._slot_of = plan.slot_of
+
+    def slot_ref(self, name: str) -> str:
+        """Local-variable name of the slot holding reaction variable ``name``."""
+        return f"s{self._slot_of[name]}"
+
+    def known(self, field: Tuple) -> Optional[str]:
+        """Source of a field whose value is known before the candidate loop
+        (a constant, or a variable bound by an earlier plan position)."""
+        kind, ref = field
+        if kind == "c":
+            return f"C[{ref}]"
+        if ref in self.bound:
+            return self.slot_ref(ref)
+        return None
+
+    def colliders(self, k: int) -> List[int]:
+        """Earlier plan positions whose pattern could bind an equal element."""
+        order = self.plan.order
+        collide = self.shape.collide
+        return [
+            j for j in range(k)
+            if collide[max(order[j], order[k])][min(order[j], order[k])]
+        ]
+
+    def field_checks(self, k: int, label_known: bool, tag_known: bool) -> None:
+        """Field checks / slot binds of plan position ``k`` (value, label,
+        tag — pattern order); fields that selected the bucket are not
+        re-checked."""
+        writer = self.writer
+        value, label, tag = self.shape.patterns[self.plan.order[k]]
+        for field, attr, source_known in (
+            (value, "value", False),
+            (label, "label", label_known),
+            (tag, "tag", tag_known),
+        ):
+            kind, ref = field
+            if kind == "c":
+                if not source_known:
+                    writer.w(f"if C[{ref}] != e{k}.{attr}:")
+                    writer.w("    continue")
+            elif ref in self.bound:
+                if not source_known:
+                    writer.w(f"if {self.slot_ref(ref)} != e{k}.{attr}:")
+                    writer.w("    continue")
+            else:
+                writer.w(f"{self.slot_ref(ref)} = e{k}.{attr}")
+                self.bound.add(ref)
+
+    def enabled_then(self, emit: str) -> None:
+        """Enabledness (guard, then the ordered branch conditions), then the
+        ``emit`` (``return``/``yield``) of the match tuple."""
+        writer = self.writer
+        shape = self.shape
+        if shape.guard is not None:
+            writer.w(f"if not ({_render(shape.guard, self.slot_ref)}):")
+            writer.w("    continue")
+        if shape.conditions != (None,):
+            alternatives = " or ".join(
+                "True" if condition is None else f"({_render(condition, self.slot_ref)})"
+                for condition in shape.conditions
+            )
+            writer.w(f"if not ({alternatives}):")
+            writer.w("    continue")
+        arity = len(shape.patterns)
+        consumed = ", ".join(f"e{self.plan.order.index(p)}" for p in range(arity))
+        binding = ", ".join(f"{name!r}: {self.slot_ref(name)}" for name in self.plan.slots)
+        suffix = "," if arity == 1 else ""
+        writer.w(f"{emit} (({consumed}{suffix}), {{{binding}}})")
+
+
+def _emit_matcher_body(emitter: _MatcherEmitter, shuffled: bool, emit: str) -> None:
     """Emit the nested candidate loops for one matcher variant.
 
     ``emit`` is ``"return"`` (find variant: first enabled match) or
     ``"yield"`` (iterate variant: all enabled matches, interpreted order).
     """
-    patterns = reaction.replace
-    slot_of = plan.slot_of
-    bound: set = set()
-
-    def slot_ref(name: str) -> str:
-        """Local-variable name of the slot holding reaction variable ``name``."""
-        return f"s{slot_of[name]}"
-
-    def condition_fragment(expr: Expr) -> str:
-        """Lower ``expr`` to a source fragment (closure-composition fallback)."""
-        try:
-            return _lower(expr, slot_ref, consts, helpers)
-        except _Unsupported:
-            helpers.append(_compose(expr))
-            env = ", ".join(
-                f"{name!r}: {slot_ref(name)}" for name in sorted(expr.variables())
-            )
-            return f"H[{len(helpers) - 1}]({{{env}}})"
-
-    def const_ref(value: Any) -> str:
-        """Intern ``value`` in the constant pool; returns its reference."""
-        consts.append(value)
-        return f"C[{len(consts) - 1}]"
-
-    for k, position in enumerate(plan.order):
-        pat = patterns[position]
-
-        label_frag: Optional[str] = None
-        if isinstance(pat.label, Const):
-            label_frag = const_ref(pat.label.value)
-        elif pat.label.name in bound:
-            label_frag = slot_ref(pat.label.name)
-
-        tag_frag: Optional[str] = None
-        if isinstance(pat.tag, Const):
-            tag_frag = const_ref(pat.tag.value)
-        elif pat.tag.name in bound:
-            tag_frag = slot_ref(pat.tag.name)
+    writer = emitter.writer
+    for k, position in enumerate(emitter.plan.order):
+        _, label, tag = emitter.shape.patterns[position]
+        label_frag = emitter.known(label)
+        tag_frag = emitter.known(tag)
 
         # -- candidate source (mirrors Matcher._candidates exactly) ---------
         if label_frag is not None and tag_frag is not None:
@@ -449,10 +636,7 @@ def _emit_matcher_body(
         writer.indent += 1
 
         # -- consumed-multiplicity check (O(1), against enclosing loops) ----
-        colliders = [
-            j for j in range(k)
-            if _fields_could_collide(patterns[plan.order[j]], pat)
-        ]
+        colliders = emitter.colliders(k)
         if colliders:
             terms = " + ".join(
                 f"(e{k} is e{j} or e{k} == e{j})" for j in colliders
@@ -461,60 +645,12 @@ def _emit_matcher_body(
             writer.w(f"if n{k} and mcount(e{k}) <= n{k}:")
             writer.w("    continue")
 
-        # -- field checks / slot binds (value, label, tag — pattern order) --
-        for field_expr, attr, source_known in (
-            (pat.value, "value", False),
-            (pat.label, "label", label_frag is not None),
-            (pat.tag, "tag", tag_frag is not None),
-        ):
-            if isinstance(field_expr, Const):
-                if not source_known:
-                    writer.w(f"if {const_ref(field_expr.value)} != e{k}.{attr}:")
-                    writer.w("    continue")
-            else:
-                name = field_expr.name
-                if name in bound:
-                    if not source_known:
-                        writer.w(f"if {slot_ref(name)} != e{k}.{attr}:")
-                        writer.w("    continue")
-                else:
-                    writer.w(f"{slot_ref(name)} = e{k}.{attr}")
-                    bound.add(name)
+        emitter.field_checks(k, label_frag is not None, tag_frag is not None)
 
-    # -- enabledness (guard, then the ordered branch conditions) ------------
-    if reaction.guard is not None:
-        writer.w(f"if not ({condition_fragment(reaction.guard)}):")
-        writer.w("    continue")
-    # Branch conditions are or-ed in declaration order, mirroring
-    # ``enabled_branch``'s first-true scan: conditions after the first
-    # unconditional branch are never evaluated, conditions before it are
-    # (they may raise, and the interpreter would evaluate them too).
-    alternatives: List[str] = []
-    for branch in reaction.branches:
-        if branch.condition is None:
-            alternatives.append("True")
-            break
-        alternatives.append(f"({condition_fragment(branch.condition)})")
-    if alternatives != ["True"]:
-        writer.w(f"if not ({' or '.join(alternatives)}):")
-        writer.w("    continue")
-
-    consumed = ", ".join(
-        f"e{plan.order.index(position)}" for position in range(len(patterns))
-    )
-    binding = ", ".join(f"{name!r}: {slot_ref(name)}" for name in plan.slots)
-    suffix = "," if len(patterns) == 1 else ""
-    writer.w(f"{emit} (({consumed}{suffix}), {{{binding}}})")
+    emitter.enabled_then(emit)
 
 
-def _emit_collect_body(
-    writer: _SourceWriter,
-    reaction: Reaction,
-    plan: MatchPlan,
-    consts: List[Any],
-    helpers: List[Callable],
-    shuffled: bool,
-) -> None:
+def _emit_collect_body(emitter: _MatcherEmitter, shuffled: bool) -> None:
     """Emit the superstep *collector*: a greedy pairwise-disjoint match set.
 
     The collector yields matches like the iterate variant but threads a shared
@@ -533,49 +669,18 @@ def _emit_collect_body(
     loop, which the break/continue cascade below requires.  Unknown-label
     plans fall back to the scheduler's accounting loop over ``iter_matches``.
     """
-    patterns = reaction.replace
-    slot_of = plan.slot_of
-    bound: set = set()
-    arity = len(patterns)
-
-    def slot_ref(name: str) -> str:
-        """Local-variable name of the slot holding reaction variable ``name``."""
-        return f"s{slot_of[name]}"
-
-    def condition_fragment(expr: Expr) -> str:
-        """Lower ``expr`` to a source fragment (closure-composition fallback)."""
-        try:
-            return _lower(expr, slot_ref, consts, helpers)
-        except _Unsupported:
-            helpers.append(_compose(expr))
-            env = ", ".join(
-                f"{name!r}: {slot_ref(name)}" for name in sorted(expr.variables())
-            )
-            return f"H[{len(helpers) - 1}]({{{env}}})"
-
-    def const_ref(value: Any) -> str:
-        """Intern ``value`` in the constant pool; returns its reference."""
-        consts.append(value)
-        return f"C[{len(consts) - 1}]"
+    writer = emitter.writer
+    order = emitter.plan.order
+    arity = len(order)
 
     if arity > 1:
         writer.w("_stop = -1")
 
-    for k, position in enumerate(plan.order):
-        pat = patterns[position]
-
-        label_frag: Optional[str]
-        if isinstance(pat.label, Const):
-            label_frag = const_ref(pat.label.value)
-        else:
-            # supports_collect guarantees the label variable is bound here.
-            label_frag = slot_ref(pat.label.name)
-
-        tag_frag: Optional[str] = None
-        if isinstance(pat.tag, Const):
-            tag_frag = const_ref(pat.tag.value)
-        elif pat.tag.name in bound:
-            tag_frag = slot_ref(pat.tag.name)
+    for k, position in enumerate(order):
+        _, label, tag = emitter.shape.patterns[position]
+        # supports_collect guarantees the label is known here.
+        label_frag = emitter.known(label)
+        tag_frag = emitter.known(tag)
 
         # -- candidate source: exactly one loop per level -------------------
         if tag_frag is not None:
@@ -619,10 +724,7 @@ def _emit_collect_body(
         # hold exactly one instance per distinct element.  Only the
         # *unconditionally* exhausted case may advance the view head —
         # within-match collision skips are local to the current partial match.
-        colliders = [
-            j for j in range(k)
-            if _fields_could_collide(patterns[plan.order[j]], pat)
-        ]
+        colliders = emitter.colliders(k)
         if colliders:
             terms = " + ".join(f"(e{k} is e{j})" for j in colliders)
             writer.w(f"n{k} = {terms}")
@@ -651,46 +753,9 @@ def _emit_collect_body(
         if not shuffled:
             writer.w(f"a{k} = False")
 
-        # -- field checks / slot binds (value, label, tag — pattern order) --
-        for field_expr, attr, source_known in (
-            (pat.value, "value", False),
-            (pat.label, "label", True),
-            (pat.tag, "tag", tag_frag is not None),
-        ):
-            if isinstance(field_expr, Const):
-                if not source_known:
-                    writer.w(f"if {const_ref(field_expr.value)} != e{k}.{attr}:")
-                    writer.w("    continue")
-            else:
-                name = field_expr.name
-                if name in bound:
-                    if not source_known:
-                        writer.w(f"if {slot_ref(name)} != e{k}.{attr}:")
-                        writer.w("    continue")
-                else:
-                    writer.w(f"{slot_ref(name)} = e{k}.{attr}")
-                    bound.add(name)
+        emitter.field_checks(k, True, tag_frag is not None)
 
-    # -- enabledness (guard, then the ordered branch conditions) ------------
-    if reaction.guard is not None:
-        writer.w(f"if not ({condition_fragment(reaction.guard)}):")
-        writer.w("    continue")
-    alternatives: List[str] = []
-    for branch in reaction.branches:
-        if branch.condition is None:
-            alternatives.append("True")
-            break
-        alternatives.append(f"({condition_fragment(branch.condition)})")
-    if alternatives != ["True"]:
-        writer.w(f"if not ({' or '.join(alternatives)}):")
-        writer.w("    continue")
-
-    consumed = ", ".join(
-        f"e{plan.order.index(position)}" for position in range(len(patterns))
-    )
-    binding = ", ".join(f"{name!r}: {slot_ref(name)}" for name in plan.slots)
-    suffix = "," if len(patterns) == 1 else ""
-    writer.w(f"yield (({consumed}{suffix}), {{{binding}}})")
+    emitter.enabled_then("yield")
 
     # -- consume the match, then advance the shallowest exhausted loop ------
     for k in range(arity):
@@ -706,12 +771,7 @@ def _emit_collect_body(
         # copy left must break, or the next inner yield over-consumes it).
         for j in range(arity - 1):
             keyword = "if" if j == 0 else "elif"
-            prior = [
-                i for i in range(j)
-                if _fields_could_collide(
-                    patterns[plan.order[i]], patterns[plan.order[j]]
-                )
-            ]
+            prior = emitter.colliders(j)
             if prior:
                 need = " + ".join(f"(e{j} is e{i})" for i in prior)
                 writer.w(f"{keyword} rem[e{j}] < 1 + {need}:")
@@ -732,16 +792,22 @@ def _emit_collect_body(
             writer.w("        break")
 
 
-def _build_matcher(
-    reaction: Reaction,
-    plan: MatchPlan,
-    shuffled: bool,
-    mode: str,
-) -> Tuple[Callable, str]:
-    """Generate, compile and return one matcher variant (plus its source)."""
-    consts: List[Any] = []
-    helpers: List[Callable] = []
-    writer = _SourceWriter()
+#: Matcher variant name -> (mode, shuffled).
+_VARIANTS: Dict[str, Tuple[str, bool]] = {
+    "find_det": ("find", False),
+    "find_rng": ("find", True),
+    "iter_det": ("iterate", False),
+    "iter_rng": ("iterate", True),
+    "collect_det": ("collect", False),
+    "collect_rng": ("collect", True),
+}
+
+
+def _matcher_source(shape: ReactionShape, plan: MatchPlan, variant: str) -> str:
+    """Source of one matcher variant's factory, ``def make(C, H): ...``."""
+    mode, shuffled = _VARIANTS[variant]
+    emitter = _MatcherEmitter(shape, plan)
+    writer = emitter.writer
     if mode == "collect":
         args = (
             "_idx, _flat, rng, mcount, rem"
@@ -753,30 +819,52 @@ def _build_matcher(
     writer.w(f"def matcher({args}):")
     writer.indent = 1
     if mode == "collect":
-        _emit_collect_body(writer, reaction, plan, consts, helpers, shuffled)
+        _emit_collect_body(emitter, shuffled)
     else:
-        _emit_matcher_body(
-            writer, reaction, plan, consts, helpers, shuffled,
-            emit="return" if mode == "find" else "yield",
-        )
+        _emit_matcher_body(emitter, shuffled, emit="return" if mode == "find" else "yield")
     writer.indent = 1
     if mode == "find":
         writer.w("return None")
-    source = "\n".join(writer.lines)
-    namespace: Dict[str, Any] = {
-        "C": tuple(consts),
-        "H": tuple(helpers),
-        "_div": _safe_div,
-        "bool": bool,
-        "list": list,
-        "min": min,
-        "max": max,
-        "id": id,
-        "len": len,
-        "range": range,
-    }
-    exec(compile(source, f"<compiled-reaction {reaction.name}>", "exec"), namespace)
-    return namespace["matcher"], source
+    body = "\n".join("    " + line for line in writer.lines)
+    return f"def make(C, H):\n{body}\n    return matcher\n"
+
+
+class _ShapeCode(CodeUnit):
+    """Stage-1 output for one reaction shape: its plan and matcher factories."""
+
+    __slots__ = ("plan",)
+
+    def __init__(self, cache: CodeCache, key: ReactionShape, serial: int) -> None:
+        super().__init__(cache, key, serial)
+        self.plan = _plan(key.patterns)
+
+    def matcher(self, variant: str) -> Tuple[Callable, str]:
+        """``(make, source)`` of one matcher variant, generated on first use."""
+        return self.factory(variant, lambda: _matcher_source(self.key, self.plan, variant))
+
+
+#: Stage-1 cache of matcher factories, keyed by :class:`ReactionShape`.
+_SHAPES = CodeCache("compiled-shape", _NAMESPACE, unit=_ShapeCode)
+
+
+class CompileCacheInfo(NamedTuple):
+    """Snapshot of the reaction-shape cache (see :func:`compile_cache_info`)."""
+
+    shapes: int
+    hits: int
+    misses: int
+    evictions: int
+
+
+def compile_cache_info() -> CompileCacheInfo:
+    """Distinct shapes cached, and the hit/miss/eviction counts so far.
+
+    One lookup per :func:`compile_reaction` call: ``misses`` counts the
+    reactions that paid for code generation, ``hits`` the ones that only
+    bound their ``(C, H)`` tuples to existing factories.
+    """
+    with _SHAPES.lock:
+        return CompileCacheInfo(len(_SHAPES), _SHAPES.hits, _SHAPES.misses, _SHAPES.evictions)
 
 
 # ---------------------------------------------------------------------------
@@ -790,10 +878,6 @@ def _compile_template(template: ElementTemplate) -> Callable[[Binding], Element]
     type checks (they are discharged here, at compile time); an all-constant
     template becomes a single shared immutable element.
     """
-    value_fn = _compile_env_expr(template.value)
-    label_fn = _compile_env_expr(template.label)
-    tag_fn = _compile_env_expr(template.tag)
-
     if isinstance(template.label, Const) and isinstance(template.tag, Const):
         label = template.label.value
         tag = template.tag.value
@@ -806,7 +890,12 @@ def _compile_template(template: ElementTemplate) -> Callable[[Binding], Element]
                 else:
                     return lambda env: element
             else:
-                return lambda env: Element(value=value_fn(env), label=label, tag=tag)
+                value_of = _compile_env_expr(template.value)
+                return lambda env: Element(value=value_of(env), label=label, tag=tag)
+
+    value_fn = _compile_env_expr(template.value)
+    label_fn = _compile_env_expr(template.label)
+    tag_fn = _compile_env_expr(template.tag)
 
     def produce(env: Binding) -> Element:
         """Instantiate the template under ``env`` (validated label/tag)."""
@@ -852,10 +941,13 @@ class CompiledReaction:
 
     __slots__ = (
         "reaction",
+        "shape",
         "plan",
         "footprint",
         "wildcard",
         "sources",
+        "_code",
+        "_bindings",
         "_find_det",
         "_find_rng",
         "_iter_det",
@@ -869,24 +961,25 @@ class CompiledReaction:
 
     def __init__(self, reaction: Reaction) -> None:
         self.reaction = reaction
-        self.plan = _plan(reaction)
+        #: Structural key shared by every isomorphic reaction (stage 1's cache
+        #: key): hashable, free of labels, literals and identities.
+        self.shape, consts, helpers = _canonicalise(reaction)
+        self._code: _ShapeCode = _SHAPES.get(self.shape)  # type: ignore[assignment]
+        self._bindings = (consts, helpers)
+        self.plan = self._code.plan
         # Scheduler footprint, resolved once at compile time.
         self.footprint: FrozenSet[str] = reaction.consumed_labels()
         self.wildcard: bool = reaction.has_variable_label()
-        self._find_det, src_fd = _build_matcher(reaction, self.plan, False, "find")
-        self._find_rng, src_fr = _build_matcher(reaction, self.plan, True, "find")
-        self._iter_det, src_id = _build_matcher(reaction, self.plan, False, "iterate")
-        self._iter_rng, src_ir = _build_matcher(reaction, self.plan, True, "iterate")
-        #: Generated sources, keyed for inspection/debugging and tests.
-        self.sources: Dict[str, str] = {
-            "find_det": src_fd,
-            "find_rng": src_fr,
-            "iter_det": src_id,
-            "iter_rng": src_ir,
-        }
+        #: Generated sources (the shape's factories), keyed for
+        #: inspection/debugging and tests.
+        self.sources: Dict[str, str] = {}
+        self._find_det = self._bind("find_det")
+        self._find_rng = self._bind("find_rng")
+        self._iter_det = self._bind("iter_det")
+        self._iter_rng = self._bind("iter_rng")
         # Superstep collectors need every plan position label-known (one
         # bucket loop per level); unknown-label plans probe through the
-        # scheduler's accounting fallback instead.  Generation is *lazy* (on
+        # scheduler's accounting fallback instead.  Binding is *lazy* (on
         # the first :meth:`collect`): only the parallel backend uses the
         # collectors, and the sequential engines must not pay their codegen
         # at setup — the small-size scheduler benchmarks gate this.
@@ -906,6 +999,15 @@ class CompiledReaction:
             )
             for branch in reaction.branches
         )
+
+    def _bind(self, variant: str) -> Callable:
+        """Instantiate one matcher variant: the shape's factory closed over
+        this reaction's ``(C, H)``."""
+        make, source = self._code.matcher(variant)
+        matcher = make(*self._bindings)
+        matcher.__qualname__ = f"{self.reaction.name}.{variant}"
+        self.sources[variant] = source
+        return matcher
 
     # -- probing ---------------------------------------------------------------
     def find(
@@ -1013,10 +1115,7 @@ class CompiledReaction:
         mcount = multiset._counts.get
         if rng is None:
             if self._collect_det is None:
-                self._collect_det, src = _build_matcher(
-                    self.reaction, self.plan, False, "collect"
-                )
-                self.sources["collect_det"] = src
+                self._collect_det = self._bind("collect_det")
             raw = self._collect_det(
                 index.label_tag_buckets(),
                 index.label_buckets(),
@@ -1026,10 +1125,7 @@ class CompiledReaction:
             )
         else:
             if self._collect_rng is None:
-                self._collect_rng, src = _build_matcher(
-                    self.reaction, self.plan, True, "collect"
-                )
-                self.sources["collect_rng"] = src
+                self._collect_rng = self._bind("collect_rng")
             raw = self._collect_rng(
                 index.label_tag_buckets(), index.label_buckets(), rng, mcount, remaining
             )

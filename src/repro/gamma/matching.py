@@ -71,10 +71,14 @@ class Matcher:
         self.index = index if index is not None else LabelTagIndex(multiset)
         self.rng = rng
         self.compiled = compiled
-        # id(reaction) -> (CompiledReaction | None, reaction).  The reaction is
-        # kept alongside to hold a strong reference while the id is cached;
-        # ``None`` marks a reaction the compiler refused (probed interpretively).
-        self._compiled_cache: Dict[int, Tuple[Optional[object], Reaction]] = {}
+        # reaction -> CompiledReaction | None, keyed on the frozen (hashable,
+        # value-compared) Reaction itself; ``None`` marks a reaction the
+        # compiler refused (probed interpretively).
+        self._compiled_cache: Dict[Reaction, Optional[object]] = {}
+        # Reactions that cannot be hashed (e.g. a list-valued ``Const``) are
+        # cached per instance instead: id(reaction) -> (compiled, reaction),
+        # the reaction held alongside so the id stays valid while cached.
+        self._compiled_unhashable: Dict[int, Tuple[Optional[object], Reaction]] = {}
 
     # -- compilation -----------------------------------------------------------
     def compiled_for(self, reaction: Reaction):
@@ -85,17 +89,26 @@ class Matcher:
         """
         if not self.compiled:
             return None
-        entry = self._compiled_cache.get(id(reaction))
-        if entry is None:
-            from .compiled import CompilationError, compile_reaction
+        try:
+            return self._compiled_cache[reaction]
+        except KeyError:
+            hashable = True
+        except TypeError:
+            hashable = False
+            entry = self._compiled_unhashable.get(id(reaction))
+            if entry is not None:
+                return entry[0]
+        from .compiled import CompilationError, compile_reaction
 
-            try:
-                compiled = compile_reaction(reaction)
-            except CompilationError:
-                compiled = None
-            entry = (compiled, reaction)
-            self._compiled_cache[id(reaction)] = entry
-        return entry[0]
+        try:
+            compiled = compile_reaction(reaction)
+        except CompilationError:
+            compiled = None
+        if hashable:
+            self._compiled_cache[reaction] = compiled
+        else:
+            self._compiled_unhashable[id(reaction)] = (compiled, reaction)
+        return compiled
 
     # -- public API ------------------------------------------------------------
     def find(self, reaction: Reaction) -> Optional[Match]:

@@ -60,6 +60,7 @@ from ..multiset.columnar import (
 )
 from ..multiset.element import Element
 from ..multiset.multiset import Multiset
+from .codecache import CodeCache
 from .expr import BinOp, BoolOp, Compare, Const, Expr, Not, Var
 from .reaction import Reaction
 from .tracer import FiringRecord, StepRecord
@@ -106,42 +107,55 @@ class _Lowered:
         self.vars = vars_
 
 
-def _fold_const(expr: Expr) -> _Lowered:
+def _lift(value: int, kind: str, consts: List[int]) -> _Lowered:
+    """Lift ``value`` to the next ``C`` position (literals stay out of the
+    source, so isomorphic masks share one code object)."""
+    consts.append(value)
+    src = f"C[{len(consts) - 1}]"
+    return _Lowered(src, src, kind, abs(value), frozenset())
+
+
+def _fold_const(expr: Expr, consts: List[int]) -> _Lowered:
     """Lower a variable-free subexpression by evaluating it once."""
     try:
         value = expr.evaluate({})
     except Exception as exc:  # evaluation faults stay on the object path
         raise _Unsupported("constant subexpression faults") from exc
     if isinstance(value, bool):
-        src = "True" if value else "False"
-        return _Lowered(src, src, "bool", 1, frozenset())
+        return _lift(value, "bool", consts)
     if isinstance(value, int):
         if abs(value) > _OVERFLOW_BOUND:
             raise _Unsupported("constant exceeds the int64 mask bound")
-        return _Lowered(repr(value), repr(value), "int", abs(value), frozenset())
+        return _lift(value, "int", consts)
     raise _Unsupported(f"non-int constant {value!r}")
 
 
-def _lower(expr: Expr, refs: Dict[str, str], hazards: List[Tuple[str, str, frozenset]]) -> _Lowered:
+def _lower(
+    expr: Expr,
+    refs: Dict[str, str],
+    hazards: List[Tuple[str, str, frozenset]],
+    consts: List[int],
+) -> _Lowered:
     """Lower ``expr`` to twin (vector, scalar) sources over ``v0,t0,v1,t1``.
 
-    ``refs`` maps reaction variables to the four positional refs; ``%`` with a
+    ``refs`` maps reaction variables to the four positional refs; constants
+    are lifted into ``consts`` (the mask's ``C`` tuple); ``%`` with a
     non-constant divisor appends a ``(vec, sca, vars)`` hazard term (divisor
     may be zero) to ``hazards``.  Raises :class:`_Unsupported` outside the
     fragment.
     """
     if not expr.variables():
-        return _fold_const(expr)
+        return _fold_const(expr, consts)
     if isinstance(expr, Var):
         ref = refs[expr.name]
         return _Lowered(ref, ref, "int", VECTOR_INT_BOUND, frozenset((ref,)))
     if isinstance(expr, Const):  # pragma: no cover - consts have no variables
-        return _fold_const(expr)
+        return _fold_const(expr, consts)
     if isinstance(expr, BinOp):
         if expr.op == "/":
             raise _Unsupported("division guards stay on the object path")
-        left = _lower(expr.left, refs, hazards)
-        right = _lower(expr.right, refs, hazards)
+        left = _lower(expr.left, refs, hazards, consts)
+        right = _lower(expr.right, refs, hazards, consts)
         if left.kind != "int" or right.kind != "int":
             raise _Unsupported("arithmetic over boolean subexpressions")
         vars_ = left.vars | right.vars
@@ -172,16 +186,16 @@ def _lower(expr: Expr, refs: Dict[str, str], hazards: List[Tuple[str, str, froze
             raise _Unsupported("static bound exceeds int64")
         return _Lowered(vec, sca, "int", maxabs, vars_)
     if isinstance(expr, Compare):
-        left = _lower(expr.left, refs, hazards)
-        right = _lower(expr.right, refs, hazards)
+        left = _lower(expr.left, refs, hazards, consts)
+        right = _lower(expr.right, refs, hazards, consts)
         if left.kind != "int" or right.kind != "int":
             raise _Unsupported("comparison over boolean subexpressions")
         vec = f"(({left.vec}) {expr.op} ({right.vec}))"
         sca = f"(({left.sca}) {expr.op} ({right.sca}))"
         return _Lowered(vec, sca, "bool", 1, left.vars | right.vars)
     if isinstance(expr, BoolOp):
-        left = _lower(expr.left, refs, hazards)
-        right = _lower(expr.right, refs, hazards)
+        left = _lower(expr.left, refs, hazards, consts)
+        right = _lower(expr.right, refs, hazards, consts)
         if left.kind != "bool" or right.kind != "bool":
             raise _Unsupported("boolean connective over non-boolean operands")
         vop = "&" if expr.op == "and" else "|"
@@ -189,23 +203,38 @@ def _lower(expr: Expr, refs: Dict[str, str], hazards: List[Tuple[str, str, froze
         sca = f"(({left.sca}) {expr.op} ({right.sca}))"
         return _Lowered(vec, sca, "bool", 1, left.vars | right.vars)
     if isinstance(expr, Not):
-        operand = _lower(expr.operand, refs, hazards)
+        operand = _lower(expr.operand, refs, hazards, consts)
         if operand.kind != "bool":
             raise _Unsupported("negation of a non-boolean operand")
         return _Lowered(f"(~({operand.vec}))", f"(not ({operand.sca}))", "bool", 1, operand.vars)
     raise _Unsupported(f"unsupported expression node {type(expr).__name__}")
 
 
-def _compile_src(body: str, args: str) -> Callable:
-    """Exec one generated mask/hazard function and return it."""
+#: Stage-1 cache of mask-function factories.  The lowering above must run per
+#: reaction anyway (constant magnitudes gate eligibility), so the key is its
+#: literal-free result: the ``(args, body)`` source pair.
+_MASKS = CodeCache("vector-mask", {})
+
+
+def _mask_fn(body: str, args: str, consts: Tuple[int, ...] = ()) -> Callable:
+    """The mask/hazard/bind function ``lambda args: body`` over ``consts``.
+
+    Generated and ``exec``'d once per distinct ``(args, body)``; each reaction
+    only closes the cached factory over its own constants.
+    """
+    make, _ = _MASKS.get((args, body)).factory(
+        "mask",
+        lambda: (
+            "def make(C, _minimum, _maximum):\n"
+            f"    def _mask({args}):\n"
+            f"        return {body}\n"
+            "    return _mask\n"
+        ),
+    )
     np_ = numpy_or_none()
-    namespace: Dict[str, Any] = {
-        "_minimum": np_.minimum if np_ is not None else min,
-        "_maximum": np_.maximum if np_ is not None else max,
-    }
-    src = f"def _mask({args}):\n    return {body}\n"
-    exec(compile(src, "<vector-mask>", "exec"), namespace)
-    return namespace["_mask"]
+    if np_ is not None:
+        return make(consts, np_.minimum, np_.maximum)
+    return make(consts, min, max)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +308,7 @@ class VectorizedReaction:
         tag_consts: List[Optional[int]] = []
         constraints: List[Tuple[_Lowered, bool]] = []  # (term, outer_only)
         hazards: List[Tuple[str, str, frozenset]] = []
+        lifted: List[int] = []  # the masks' shared C tuple
         bound: Dict[str, str] = {}
         for k, pat in enumerate(reaction.replace):
             if not isinstance(pat.label, Const) or not isinstance(pat.label.value, str):
@@ -291,11 +321,9 @@ class VectorizedReaction:
                         # with bool excluded at construction) — but equality
                         # against the int column would claim otherwise.
                         raise _Unsupported("boolean tag constant")
+                    const = _lift(_const_int(field_expr), "int", lifted)
                     term = _Lowered(
-                        f"({ref} == {_const_int(field_expr)})",
-                        f"({ref} == {_const_int(field_expr)})",
-                        "bool",
-                        1,
+                        f"({ref} == {const.vec})", f"({ref} == {const.sca})", "bool", 1,
                         frozenset((ref,)),
                     )
                     constraints.append((term, k == 0))
@@ -319,7 +347,7 @@ class VectorizedReaction:
 
         guard_term: Optional[_Lowered] = None
         if reaction.guard is not None:
-            guard_term = _lower(reaction.guard, refs, hazards)
+            guard_term = _lower(reaction.guard, refs, hazards, lifted)
             if guard_term.kind != "bool":
                 raise _Unsupported("non-boolean guard")
 
@@ -337,13 +365,14 @@ class VectorizedReaction:
             return glue.join(t.vec if vec else t.sca for t in terms)
 
         args = "v0, t0, v1, t1" if self.arity == 2 else "v0, t0"
+        consts = tuple(lifted)
         outer_src = conjoin(outer_terms, vec=False)
-        self.outer_sca = _compile_src(outer_src, "v0, t0") if outer_src else None
+        self.outer_sca = _mask_fn(outer_src, "v0, t0", consts) if outer_src else None
         if self.arity == 2:
             pair_vec_src = conjoin(pair_terms, vec=True)
             pair_sca_src = conjoin(pair_terms, vec=False)
-            self.pair_vec = _compile_src(pair_vec_src, args) if pair_vec_src else None
-            self.pair_sca = _compile_src(pair_sca_src, args) if pair_sca_src else None
+            self.pair_vec = _mask_fn(pair_vec_src, args, consts) if pair_vec_src else None
+            self.pair_sca = _mask_fn(pair_sca_src, args, consts) if pair_sca_src else None
             pair_vars = frozenset().union(*(t.vars for t in pair_terms)) if pair_terms else frozenset()
             self.uses_outer = bool(pair_vars & {"v0", "t0"})
         else:
@@ -365,10 +394,10 @@ class VectorizedReaction:
                 side = "inner"
             else:
                 side = "outer"
-            self.hazard_terms.append((side, _compile_src(vec_src, args)))
+            self.hazard_terms.append((side, _mask_fn(vec_src, args, consts)))
         if hazards:
             any_src = " | ".join(vec for vec, _, _ in hazards)
-            self.hazard_vec = _compile_src(f"({any_src})", args)
+            self.hazard_vec = _mask_fn(f"({any_src})", args, consts)
         else:
             self.hazard_vec = None
         self.collect_safe = collect_safe
@@ -387,7 +416,7 @@ class VectorizedReaction:
             spec.append((name, k, attr))
         self.binding_spec = tuple(spec)
         items = ", ".join(f"{name!r}: es[{k}].{attr}" for name, k, attr in spec)
-        self.bind = _compile_src(f"{{{items}}}", "es")
+        self.bind = _mask_fn(f"{{{items}}}", "es")
 
         # Productions of the (unconditional) first branch: constant-shaped
         # templates are *interned* against the store's live slots so repeated

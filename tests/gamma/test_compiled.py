@@ -22,7 +22,6 @@ from repro.gamma import (
     template,
     var,
 )
-from repro.gamma.compiled import _plan
 from repro.gamma.stdlib import (
     exchange_sort,
     gcd_program,
@@ -67,7 +66,7 @@ class TestMatchPlan:
             ],
             branches=[Branch(productions=[template("x", "out", Const(0))])],
         )
-        plan = _plan(reaction)
+        plan = compile_reaction(reaction).plan
         assert plan.order == (1, 0)
         assert not plan.is_identity
 
@@ -80,7 +79,7 @@ class TestMatchPlan:
             ],
             branches=[Branch(productions=[template("x", "out", Const(0))])],
         )
-        plan = _plan(reaction)
+        plan = compile_reaction(reaction).plan
         assert plan.order == (1, 0)
 
     def test_bound_variable_propagation_counts_as_known(self):
@@ -95,7 +94,7 @@ class TestMatchPlan:
             ],
             branches=[Branch(productions=[template("x", "out", Const(0))])],
         )
-        plan = _plan(reaction)
+        plan = compile_reaction(reaction).plan
         assert plan.order == (0, 1)
         assert plan.selectivity == ((True, False), (True, True))
 
@@ -105,7 +104,7 @@ class TestMatchPlan:
             replace=[ElementPattern(Var("x"), Var("lbl"), Var("v"))],
             branches=[Branch(productions=[template("x", "out", Const(0))])],
         )
-        plan = _plan(reaction)
+        plan = compile_reaction(reaction).plan
         assert plan.selectivity == ((False, False),)
 
 
@@ -360,6 +359,165 @@ class TestMatcherIntegration:
         index = LabelTagIndex(multiset)
         list(compiled.collect(index, multiset, {}))
         assert "def matcher" in compiled.sources["collect_det"]
+
+
+class _ScaledExpr(Expr):
+    """Opaque to the code generator; instances differ only in ``factor``."""
+
+    __slots__ = ("inner", "factor")
+
+    def __init__(self, inner, factor):
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "factor", factor)
+
+    def evaluate(self, env):
+        return self.inner.evaluate(env) * self.factor
+
+    def variables(self):
+        return self.inner.variables()
+
+
+def _pair_reaction(name, labels=("x", "x"), op="<", bump=0, guard=None, value=None):
+    """``replace [a, l0], [b, l1] by [a + bump, 'out'] where a <op> b``."""
+    from repro.gamma.expr import BinOp, Compare
+
+    return Reaction(
+        name=name,
+        replace=[pattern("a", labels[0], "t1"), pattern("b", labels[1], "t2")],
+        branches=[
+            Branch(
+                productions=[
+                    ElementTemplate(
+                        value=value if value is not None else BinOp("+", var("a"), Const(bump)),
+                        label=Const("out"),
+                        tag=Const(0),
+                    )
+                ]
+            )
+        ],
+        guard=guard if guard is not None else Compare(op, var("a"), var("b")),
+    )
+
+
+@pytest.fixture
+def cold_compile(monkeypatch):
+    """Compile against empty stage-1 caches: what a per-reaction compiler does."""
+    from repro.gamma import codecache, compiled as module
+
+    def compile_cold(reaction):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                module, "_SHAPES",
+                codecache.CodeCache("compiled-shape", module._NAMESPACE, unit=module._ShapeCode),
+            )
+            patch.setattr(
+                module, "_EXPRS", codecache.CodeCache("compiled-expr", module._NAMESPACE)
+            )
+            return compile_reaction(reaction)
+
+    return compile_cold
+
+
+class TestShapeSharing:
+    """Isomorphic reactions share code objects, never bindings.
+
+    ``x < y`` and ``x > y`` lower to the same source ``H[0](s0, s2)``; so do
+    reactions differing only in labels or literals.  A shape cache that forgot
+    to rebind ``(C, H)`` per reaction would silently run the wrong comparison.
+    """
+
+    MULTISET = Multiset(
+        [Element(v, label, 0) for label in ("x", "y") for v in (1, 2, 2, 3, 5)]
+        + [Element(4, "z", 0), Element(6, "z", 0)]
+    )
+
+    def assert_shared_but_faithful(self, reactions, cold_compile):
+        multiset = self.MULTISET
+        index = LabelTagIndex(multiset)
+        shared = [compile_reaction(r) for r in reactions]
+        assert len({c.shape for c in shared}) == 1
+        for attr in ("_find_det", "_find_rng", "_iter_det", "_iter_rng"):
+            assert len({getattr(c, attr).__code__ for c in shared}) == 1
+            assert len({getattr(c, attr) for c in shared}) == len(shared)
+        outcomes = []
+        for reaction, warm in zip(reactions, shared):
+            cold = cold_compile(reaction)
+            assert cold._find_det.__code__ is not warm._find_det.__code__
+            assert cold.sources == warm.sources
+            expected = raw_matches(Matcher(multiset, index=index), reaction)
+            produced = [reaction.apply(dict(binding)) for _, binding in expected]
+            for compiled in (warm, cold):
+                got = list(compiled.iter_matches(index, multiset))
+                assert [(m.consumed, m.binding) for m in got] == expected
+                assert [m.produced() for m in got] == produced
+                first = compiled.find(index, multiset)
+                assert (first.consumed, first.binding) == expected[0]
+                assert first.produced() == produced[0]
+            rng_interp, rng_warm, rng_cold = (random.Random(5) for _ in range(3))
+            seeded = raw_matches(Matcher(multiset, index=index, rng=rng_interp), reaction)
+            assert raw_matches(warm, reaction, index, multiset, rng=rng_warm) == seeded
+            assert raw_matches(cold, reaction, index, multiset, rng=rng_cold) == seeded
+            assert rng_warm.getstate() == rng_cold.getstate() == rng_interp.getstate()
+            outcomes.append((expected, produced))
+        # The reactions really do differ: sharing must not have merged them.
+        assert all(outcomes[0] != other for other in outcomes[1:])
+
+    def test_comparison_operators_do_not_alias(self, cold_compile):
+        self.assert_shared_but_faithful(
+            [_pair_reaction(f"R{op}", op=op) for op in ("<", ">", "==", "!=")],
+            cold_compile,
+        )
+
+    def test_labels_do_not_alias(self, cold_compile):
+        # Same collision structure (two distinct constants), different labels.
+        self.assert_shared_but_faithful(
+            [
+                _pair_reaction("Rxy", labels=("x", "y")),
+                _pair_reaction("Ryx", labels=("y", "x")),
+                _pair_reaction("Rxz", labels=("x", "z")),
+            ],
+            cold_compile,
+        )
+
+    def test_literals_do_not_alias(self, cold_compile):
+        from repro.gamma.expr import BinOp, Compare
+
+        self.assert_shared_but_faithful(
+            [
+                _pair_reaction(
+                    f"R{limit}",
+                    bump=limit,
+                    guard=Compare("<", BinOp("+", var("a"), Const(limit)), var("b")),
+                )
+                for limit in (0, 1, 2)
+            ],
+            cold_compile,
+        )
+
+    def test_composed_fallbacks_do_not_alias(self, cold_compile):
+        from repro.gamma.expr import Compare
+
+        self.assert_shared_but_faithful(
+            [
+                _pair_reaction(
+                    f"Rx{factor}",
+                    guard=Compare("<", _ScaledExpr(var("a"), factor), var("b")),
+                    value=_ScaledExpr(var("a"), factor),
+                )
+                for factor in (1, 2, 3)
+            ],
+            cold_compile,
+        )
+
+    def test_equal_labels_are_a_different_shape_than_distinct_ones(self):
+        # Constant *values* shape the code in exactly one place: patterns
+        # with different constants cannot collide, so the multiplicity check
+        # is pruned.  That must split the shapes, not alias them.
+        same = compile_reaction(_pair_reaction("Rxx", labels=("x", "x")))
+        distinct = compile_reaction(_pair_reaction("Rxy", labels=("x", "y")))
+        assert same.shape != distinct.shape
+        assert "mcount" in same.sources["find_det"].split("\n", 2)[2]
+        assert "mcount(e1)" not in distinct.sources["find_det"]
 
 
 class TestReviewRegressions:
