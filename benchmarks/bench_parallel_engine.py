@@ -63,7 +63,7 @@ def _run_to_stable(workload, engine_factory, repeats=3):
 
 def _trace_key(result):
     return [
-        (f.step, f.reaction, f.consumed, f.produced, f.binding)
+        (f.step, f.reaction, f.consumed, f.produced, f.binding, f.times)
         for f in result.trace.firings()
     ]
 

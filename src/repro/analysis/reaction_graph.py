@@ -124,10 +124,10 @@ def _label_totals(trace: Trace) -> Tuple[Dict[str, Dict[str, int]], Dict[str, Di
     for firing in trace.firings():
         by_reaction = produced.setdefault(firing.reaction, {})
         for element in firing.produced:
-            by_reaction[element.label] = by_reaction.get(element.label, 0) + 1
+            by_reaction[element.label] = by_reaction.get(element.label, 0) + firing.times
         by_reaction = consumed.setdefault(firing.reaction, {})
         for element in firing.consumed:
-            by_reaction[element.label] = by_reaction.get(element.label, 0) + 1
+            by_reaction[element.label] = by_reaction.get(element.label, 0) + firing.times
     return produced, consumed
 
 
@@ -163,9 +163,9 @@ def hot_label_report(trace: Trace, top: Optional[int] = None) -> List[Tuple[str,
     produced: Dict[str, int] = {}
     for firing in trace.firings():
         for element in firing.consumed:
-            consumed[element.label] = consumed.get(element.label, 0) + 1
+            consumed[element.label] = consumed.get(element.label, 0) + firing.times
         for element in firing.produced:
-            produced[element.label] = produced.get(element.label, 0) + 1
+            produced[element.label] = produced.get(element.label, 0) + firing.times
     labels = sorted(
         set(consumed) | set(produced),
         key=lambda label: (-(consumed.get(label, 0) + produced.get(label, 0)), label),

@@ -517,14 +517,18 @@ class _MatcherEmitter:
             return self.slot_ref(ref)
         return None
 
-    def colliders(self, k: int) -> List[int]:
-        """Earlier plan positions whose pattern could bind an equal element."""
+    def partners(self, k: int) -> List[int]:
+        """Other plan positions whose pattern could bind an equal element."""
         order = self.plan.order
         collide = self.shape.collide
         return [
-            j for j in range(k)
-            if collide[max(order[j], order[k])][min(order[j], order[k])]
+            j for j in range(len(order))
+            if j != k and collide[max(order[j], order[k])][min(order[j], order[k])]
         ]
+
+    def colliders(self, k: int) -> List[int]:
+        """Earlier plan positions whose pattern could bind an equal element."""
+        return [j for j in self.partners(k) if j < k]
 
     def field_checks(self, k: int, label_known: bool, tag_known: bool) -> None:
         """Field checks / slot binds of plan position ``k`` (value, label,
@@ -550,9 +554,8 @@ class _MatcherEmitter:
                 writer.w(f"{self.slot_ref(ref)} = e{k}.{attr}")
                 self.bound.add(ref)
 
-    def enabled_then(self, emit: str) -> None:
-        """Enabledness (guard, then the ordered branch conditions), then the
-        ``emit`` (``return``/``yield``) of the match tuple."""
+    def enabled_checks(self) -> None:
+        """Enabledness: the guard, then the ordered branch conditions."""
         writer = self.writer
         shape = self.shape
         if shape.guard is not None:
@@ -565,11 +568,17 @@ class _MatcherEmitter:
             )
             writer.w(f"if not ({alternatives}):")
             writer.w("    continue")
-        arity = len(shape.patterns)
+
+    def match_source(self, times: str = "") -> str:
+        """The match tuple ``(consumed, binding)`` — declaration-order
+        consumed elements, slot-order binding dict — with ``times`` appended
+        as a third item when given (the collectors' multiplicity)."""
+        arity = len(self.shape.patterns)
         consumed = ", ".join(f"e{self.plan.order.index(p)}" for p in range(arity))
         binding = ", ".join(f"{name!r}: {self.slot_ref(name)}" for name in self.plan.slots)
         suffix = "," if arity == 1 else ""
-        writer.w(f"{emit} (({consumed}{suffix}), {{{binding}}})")
+        extra = f", {times}" if times else ""
+        return f"(({consumed}{suffix}), {{{binding}}}{extra})"
 
 
 def _emit_matcher_body(emitter: _MatcherEmitter, shuffled: bool, emit: str) -> None:
@@ -647,22 +656,29 @@ def _emit_matcher_body(emitter: _MatcherEmitter, shuffled: bool, emit: str) -> N
 
         emitter.field_checks(k, label_frag is not None, tag_frag is not None)
 
-    emitter.enabled_then(emit)
+    emitter.enabled_checks()
+    writer.w(f"{emit} {emitter.match_source()}")
 
 
 def _emit_collect_body(emitter: _MatcherEmitter, shuffled: bool) -> None:
-    """Emit the superstep *collector*: a greedy pairwise-disjoint match set.
+    """Emit the superstep *collector*: a greedy disjoint set of ``(tuple, k)``.
 
-    The collector yields matches like the iterate variant but threads a shared
+    The collector visits tuples like the iterate variant but threads a shared
     ``rem`` map (element -> copies still unclaimed this superstep, lazily
-    initialized, shared across all reactions) through the candidate checks,
-    and after each accepted match breaks back out to the shallowest loop whose
-    element is exhausted instead of rescanning consumed candidates.  One call
-    enumerates a greedy disjoint set in near-linear time — maximal up to
-    repeated slot assignments of multi-copy elements, which each distinct
-    combination's single visit cannot re-claim — and the per-firing probe
-    restart of the sequential engines disappears, which is where the parallel
-    backend's throughput comes from.
+    initialized, shared across all reactions) through the candidate checks.
+    A tuple ``e_0..e_{n-1}`` that passed the guard and branch conditions is
+    fired *with multiplicity*: with ``a_i`` the unclaimed copies of ``e_i``
+    and ``m_i`` the number of slots holding that same object, it yields
+    ``(consumed, binding, k)`` for ``k = min_i(a_i // m_i)`` — every firing
+    of this tuple the superstep can still afford, ``k >= 1`` by the candidate
+    checks — and claims ``k`` copies per slot.  So each distinct combination
+    is visited once *and* left with nothing more to give, matching cost
+    scales with distinct elements rather than copies, and the set is maximal:
+    no visited tuple could fire again.  After each yield the loops break back
+    out to the shallowest level whose element is exhausted instead of
+    rescanning consumed candidates, so one call runs in near-linear time and
+    the per-firing probe restart of the sequential engines disappears — which
+    is where the parallel backend's throughput comes from.
 
     Only generated for plans whose every position has a known label (constant
     or bound by an earlier position): each level is then exactly one bucket
@@ -755,15 +771,36 @@ def _emit_collect_body(emitter: _MatcherEmitter, shuffled: bool) -> None:
 
         emitter.field_checks(k, True, tag_frag is not None)
 
-    emitter.enabled_then("yield")
+    emitter.enabled_checks()
 
-    # -- consume the match, then advance the shallowest exhausted loop ------
+    # -- multiplicity: k = min_i(a_i // m_i), claimed k times per slot ------
+    # ``m_i`` counts the slots holding e_i's object; identity terms are only
+    # emitted for slot pairs the shape lets collide, so the common case is a
+    # plain min over the a_i.  Slots sharing one object compute the same
+    # (a, m), hence the same idempotent ``rem`` store below.
+    partners = [emitter.partners(k) for k in range(arity)]
     for k in range(arity):
         writer.w(f"x{k} = rem.get(e{k})")
-        writer.w(f"rem[e{k}] = (mcount(e{k}) if x{k} is None else x{k}) - 1")
+        writer.w(f"if x{k} is None:")
+        writer.w(f"    x{k} = mcount(e{k})")
+        quota = f"x{k}"
+        if partners[k]:
+            terms = " + ".join(f"(e{k} is e{j})" for j in partners[k])
+            writer.w(f"m{k} = 1 + {terms}")
+            writer.w(f"q{k} = x{k} // m{k}")
+            quota = f"q{k}"
+        if k == 0:
+            writer.w(f"_k = {quota}")
+        else:
+            writer.w(f"if {quota} < _k:")
+            writer.w(f"    _k = {quota}")
+    for k in range(arity):
+        claimed = f"_k * m{k}" if partners[k] else "_k"
+        writer.w(f"rem[e{k}] = x{k} - {claimed}")
+    writer.w(f"yield {emitter.match_source(times='_k')}")
+
+    # -- advance the shallowest exhausted loop ------------------------------
     if arity > 1:
-        # Exhaustion re-reads ``rem`` (not the locals above): the same object
-        # may fill several slots, in which case the later decrements count.
         # Keeping the held prefix e_0..e_j alive requires every object in it
         # to retain one copy *per slot it fills*, so level j's threshold
         # counts its identity collisions with shallower held slots — not
@@ -914,14 +951,14 @@ def _compile_template(template: ElementTemplate) -> Callable[[Binding], Element]
 # Compiled reaction + matches
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CompiledMatch(Match):
     """A match found by the compiled matcher.
 
     Identical observable content to an interpreted :class:`Match` (same
-    reaction, consumed tuple in declaration order, same binding dict);
-    :meth:`produced` runs the compiled productions instead of re-walking the
-    template ASTs.
+    reaction, consumed tuple in declaration order, same binding dict, same
+    ``times`` and repr); :meth:`produced` runs the compiled productions
+    instead of re-walking the template ASTs.
     """
 
     compiled: Optional["CompiledReaction"] = None
@@ -1091,12 +1128,15 @@ class CompiledReaction:
         rng: Optional[random.Random] = None,
         views: Optional[Dict[int, list]] = None,
     ) -> Iterator[Match]:
-        """Greedy disjoint matches for one superstep, claiming from ``remaining``.
+        """Greedy disjoint ``(tuple, k)`` matches for one superstep.
 
-        ``remaining`` maps elements to copies still unclaimed this superstep;
-        entries are created lazily (an absent element still has its full
-        multiset count) and decremented for every consumed copy, so one map
-        can be shared across all of a superstep's reactions.  ``views`` is the
+        Each yielded match carries ``times = k``: the number of firings of
+        its tuple the unclaimed copies still afford (the minimum over held
+        objects of unclaimed copies // slots the object fills), all claimed
+        at once.  ``remaining`` maps elements to copies still unclaimed this
+        superstep; entries are created lazily (an absent element still has
+        its full multiset count) and reduced by every claim, so one map can
+        be shared across all of a superstep's reactions.  ``views`` is the
         deterministic scan's per-superstep bucket-view cache (snapshot list +
         exhausted-prefix head pointer, keyed by bucket identity); share one
         dict across a superstep's reactions for amortized prefix skipping.
@@ -1129,9 +1169,13 @@ class CompiledReaction:
             raw = self._collect_rng(
                 index.label_tag_buckets(), index.label_buckets(), rng, mcount, remaining
             )
-        for consumed, binding in raw:
+        for consumed, binding, times in raw:
             yield CompiledMatch(
-                reaction=self.reaction, consumed=consumed, binding=binding, compiled=self
+                reaction=self.reaction,
+                consumed=consumed,
+                binding=binding,
+                times=times,
+                compiled=self,
             )
 
     # -- firing ----------------------------------------------------------------

@@ -77,7 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from ..multiset.element import Element
 from ..multiset.multiset import Multiset
 from .compiled import evaluate_productions
-from .matching import Match
+from .matching import Match, fire_batch
 from .program import GammaProgram, ProgramLike, SequentialProgram
 from .scheduler import ReactionScheduler
 from .tracer import Trace
@@ -441,22 +441,25 @@ class ParallelEngine(GammaEngine):
     The counting engines above *simulate* parallelism; this backend executes
     it.  Each superstep:
 
-    1. extracts a maximal pairwise-disjoint match set through the scheduler's
-       compiled superstep collectors
+    1. extracts a maximal disjoint set of ``(tuple, k)`` matches through the
+       scheduler's compiled superstep collectors
        (:meth:`ReactionScheduler.collect_superstep_matches` — one bucket pass
-       per reaction instead of one probe restart per firing);
-    2. evaluates the matches' compiled productions — inline by default, or
-       chunked across a ``concurrent.futures`` thread pool when ``workers`` is
-       given.  Production evaluation is pure, so chunks reassemble in match
+       per reaction instead of one probe restart per firing, and one match
+       per distinct tuple instead of one per copy: ``match.times`` says how
+       often it fires);
+    2. evaluates the matches' compiled productions, once per match — inline
+       by default, or chunked across a ``concurrent.futures`` thread pool
+       when ``workers`` is given.  Production evaluation is pure, so chunks reassemble in match
        order; note that for pure-Python productions the GIL serializes the
        threads, so ``workers`` demonstrates the deterministic off-schedule
        evaluation architecture (and suits free-threaded builds or productions
        that release the GIL) rather than speeding up CPython today —
        ``workers=None`` is the fast path;
     3. applies the whole batch through the validation-free
-       :meth:`Multiset.rewrite_batch_unchecked` (two-phase, batched change
-       notifications), records every firing under one trace step, and only
-       then lets the scheduler observe the dirty labels.
+       :meth:`Multiset.rewrite_batch_unchecked` (two-phase, counted, batched
+       change notifications), records every match — with its ``times`` —
+       under one trace step, and only then lets the scheduler observe the
+       dirty labels.
 
     Scheduling is deterministic: unseeded, reactions and candidates are probed
     in declaration/bucket order; with a ``seed``, probe order is drawn from a
@@ -542,9 +545,6 @@ class ParallelEngine(GammaEngine):
         label: str = "<stream>",
     ) -> Tuple[int, int, bool]:
         """Superstep counterpart of :meth:`GammaEngine.drain` (same contract)."""
-        apply_batch = (
-            multiset.rewrite_batch_unchecked if self.compiled else multiset.replace
-        )
         executor = self._pool()
         steps = 0
         firings = 0
@@ -562,14 +562,18 @@ class ParallelEngine(GammaEngine):
                 return steps, firings, True
             produced_lists = self._evaluate_productions(matches, executor)
             step = trace.begin_step()
-            removed: List[Element] = []
-            added: List[Element] = []
             for match, produced in zip(matches, produced_lists):
-                removed.extend(match.consumed)
-                added.extend(produced)
-                trace.record(step, match.reaction.name, match.consumed, produced, match.binding)
-            apply_batch(removed, added)
-            firings += len(matches)
+                trace.record(
+                    step,
+                    match.reaction.name,
+                    match.consumed,
+                    produced,
+                    match.binding,
+                    times=match.times,
+                )
+            firings += fire_batch(
+                multiset, matches, produced_lists, validate=not self.compiled
+            )
             steps += 1
 
     def _evaluate_productions(

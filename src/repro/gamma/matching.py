@@ -25,23 +25,69 @@ from ..multiset.multiset import Multiset
 from .pattern import Binding, ElementPattern
 from .reaction import Reaction
 
-__all__ = ["Match", "Matcher", "find_match", "iter_matches"]
+__all__ = ["Match", "Matcher", "fire_batch", "find_match", "iter_matches"]
 
 
 @dataclass(frozen=True)
 class Match:
-    """A successful match of a reaction against the multiset."""
+    """A successful match of a reaction against the multiset.
+
+    ``times`` is the match's *multiplicity*: the superstep collectors hand
+    out ``(tuple, k)`` decisions — fire this tuple ``k`` times at once — so a
+    multiset holding many copies of few values costs one match per distinct
+    combination, not one per copy.  Single-firing probes (``find``,
+    ``iter_matches``) always carry ``times == 1``.  Productions are pure
+    functions of the binding, so :meth:`produced` is evaluated once and the
+    consumer multiplies.
+    """
 
     reaction: Reaction
     consumed: Tuple[Element, ...]
     binding: Dict[str, object]
+    times: int = 1
 
     def produced(self) -> List[Element]:
-        """The elements the reaction will insert when this match fires."""
+        """The elements *one* firing of this match inserts."""
         return self.reaction.apply(dict(self.binding))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Match({self.reaction.name}, consumed={list(self.consumed)!r})"
+        times = f" ×{self.times}" if self.times > 1 else ""
+        return f"Match({self.reaction.name}, consumed={list(self.consumed)!r}{times})"
+
+
+def fire_batch(
+    multiset: Multiset,
+    matches: Sequence[Match],
+    produced_lists: Optional[Sequence[Sequence[Element]]] = None,
+    validate: bool = False,
+) -> int:
+    """Fire one superstep batch; returns its firing count, ``sum(times)``.
+
+    Each match fires ``match.times`` times, but is *handled* once: its
+    productions are evaluated once (``produced_lists[i]`` when the caller
+    already did, e.g. on a worker pool) and multiplied into ``{element:
+    copies}`` maps — keys in first-occurrence order — that go through one
+    counted two-phase :meth:`Multiset.rewrite_batch_unchecked`.
+    ``validate=True`` applies the same batch through the atomic, validating
+    :meth:`Multiset.replace` instead (the interpreted baseline).
+    """
+    if produced_lists is None:
+        produced_lists = [match.produced() for match in matches]
+    removed: Dict[Element, int] = {}
+    added: Dict[Element, int] = {}
+    firings = 0
+    for match, produced in zip(matches, produced_lists):
+        times = match.times
+        firings += times
+        for element in match.consumed:
+            removed[element] = removed.get(element, 0) + times
+        for element in produced:
+            added[element] = added.get(element, 0) + times
+    if validate:
+        multiset.replace(Counter(removed).elements(), Counter(added).elements())
+    else:
+        multiset.rewrite_batch_unchecked(removed, added)
+    return firings
 
 
 class Matcher:

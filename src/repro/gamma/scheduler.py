@@ -43,6 +43,7 @@ incremental-vs-legacy runs agree on final multisets for confluent programs
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..multiset.columnar import ColumnarStore
@@ -245,21 +246,27 @@ class ReactionScheduler:
         return None
 
     def collect_superstep_matches(self, budget: Optional[int] = None) -> List[Match]:
-        """Greedy pairwise-disjoint match set for one parallel *superstep*.
+        """Greedy disjoint ``(tuple, k)`` match set for one parallel *superstep*.
 
         Semantically this is :meth:`collect_step_matches` — a greedy set of
-        matches no two of which consume the same element occurrence — but
-        extraction runs through the compiled superstep collectors
+        firings no two of which consume the same element occurrence — but
+        each returned match stands for ``match.times`` firings of its tuple:
+        once a tuple is enabled it is fired as often as the copies still
+        unclaimed this superstep afford (the minimum, over the objects it
+        holds, of unclaimed copies // slots the object fills), so a solution
+        with many copies of few values costs one decision per distinct
+        combination, not one per copy.  Extraction runs through the compiled
+        superstep collectors
         (:meth:`~repro.gamma.compiled.CompiledReaction.collect`): one bucket
         pass per reaction with a shared consumed-occurrence map, skipping
         candidates claimed earlier in the batch, instead of enumerating every
-        match and filtering.  The set is maximal when matches bind distinct
-        elements; very multiplicity-heavy solutions can strand copies that
-        only a *repeated* slot assignment would claim (the single-pass loops
-        visit each distinct-element combination once), which costs an extra
-        superstep, never correctness.  Reactions the collector cannot handle
-        (no compiled form, or an unknown-label match plan) fall back to the
-        enumerate-and-account discipline.
+        match and filtering.  Reactions the collector cannot handle (no
+        compiled form, or an unknown-label match plan) fall back to the
+        enumerate-and-account discipline under the same ``(tuple, k)`` rule.
+
+        ``budget`` caps the superstep's *firings* — the sum of ``times``, not
+        the length of the list: the match that would cross it has its
+        ``times`` clipped to the remainder and collection stops.
 
         An empty result proves the multiset stable: with nothing consumed the
         collectors degenerate to plain first-match probes, so any enabled
@@ -276,16 +283,14 @@ class ReactionScheduler:
         cviews: Dict = {}
         store = self.columnar_store if self.rng is None else None
         chosen: List[Match] = []
+        room = budget  # firings still allowed this superstep (None: unbounded)
         compiled = self._compiled
-        count = self.multiset.count
         for i in self._probe_order(shuffled=self.rng is not None):
             if i in self._parked:
                 continue
-            if budget is not None and len(chosen) >= budget:
+            if room == 0:
                 break
             compiled_reaction = compiled[i]
-            had_claims = bool(remaining)
-            accepted = False
             if compiled_reaction is not None and compiled_reaction.supports_collect:
                 matches = None
                 if store is not None:
@@ -296,46 +301,57 @@ class ReactionScheduler:
                     matches = compiled_reaction.collect(
                         self.index, self.multiset, remaining, self.rng, views
                     )
-                for match in matches:
-                    accepted = True
-                    chosen.append(match)
-                    if budget is not None and len(chosen) >= budget:
-                        break
-                if not accepted and not had_claims:
-                    self._parked.add(i)
-                continue
-            # Fallback: enumerate matches and account occurrences by hand.
-            reaction = self.reactions[i]
-            enabled = False
-            if compiled_reaction is not None:
-                matches = compiled_reaction.iter_matches(
-                    self.index, self.multiset, self.rng
-                )
+                park_if_idle = not remaining
             else:
-                matches = self.matcher.iter_matches(reaction)
+                matches = self._account(i, remaining)
+                park_if_idle = False  # _account parks a matchless reaction itself
             for match in matches:
-                enabled = True
-                needed: Dict[Element, int] = {}
-                for element in match.consumed:
-                    needed[element] = needed.get(element, 0) + 1
-                feasible = True
-                for e, c in needed.items():
-                    avail = remaining.get(e)
-                    if avail is None:
-                        avail = count(e)
-                    if avail < c:
-                        feasible = False
-                        break
-                if feasible:
-                    for e, c in needed.items():
-                        avail = remaining.get(e)
-                        remaining[e] = (count(e) if avail is None else avail) - c
-                    chosen.append(match)
-                    if budget is not None and len(chosen) >= budget:
-                        break
-            if not enabled:
+                park_if_idle = False
+                if room is not None:
+                    if match.times > room:
+                        match = replace(match, times=room)
+                    room -= match.times
+                chosen.append(match)
+                if room == 0:
+                    break
+            if park_if_idle:
                 self._parked.add(i)
         return chosen
+
+    def _account(self, i: int, remaining: Dict[Element, int]) -> Iterator[Match]:
+        """Enumerate-and-account collector for reaction ``i``.
+
+        For reactions without a codegenned collector: every enabled match is
+        enumerated against the current multiset and fired ``k`` times, ``k``
+        the minimum over its distinct elements of unclaimed copies //
+        occurrences in the tuple; matches the earlier claims starve are
+        skipped.  A reaction with no enabled match at all is parked.
+        """
+        compiled_reaction = self._compiled[i]
+        if compiled_reaction is not None:
+            matches = compiled_reaction.iter_matches(self.index, self.multiset, self.rng)
+        else:
+            matches = self.matcher.iter_matches(self.reactions[i])
+        count = self.multiset.count
+        enabled = False
+        for match in matches:
+            enabled = True
+            needed: Dict[Element, int] = {}
+            for element in match.consumed:
+                needed[element] = needed.get(element, 0) + 1
+            times = None
+            for element, slots in needed.items():
+                avail = remaining.get(element)
+                if avail is None:
+                    avail = remaining[element] = count(element)
+                if times is None or avail // slots < times:
+                    times = avail // slots
+            if times:
+                for element, slots in needed.items():
+                    remaining[element] -= times * slots
+                yield match if times == 1 else replace(match, times=times)
+        if not enabled:
+            self._parked.add(i)
 
     def collect_step_matches(self, budget: Optional[int] = None) -> List[Match]:
         """Greedy maximal set of non-conflicting matches for one parallel step.

@@ -23,13 +23,22 @@ __all__ = ["FiringRecord", "StepRecord", "Trace"]
 
 @dataclass(frozen=True)
 class FiringRecord:
-    """One reaction firing: consumed elements, produced elements, binding."""
+    """One reaction firing: consumed elements, produced elements, binding.
+
+    ``times`` is the firing's multiplicity: the superstep engines fire one
+    tuple ``k`` times at once (:attr:`repro.gamma.matching.Match.times`) and
+    record it as one entry carrying the count, not ``k`` entries.  Every
+    aggregate below (:attr:`StepRecord.width`, :attr:`Trace.num_firings`,
+    :meth:`Trace.firing_counts`, ...) weights by it, so they keep counting
+    firings.
+    """
 
     step: int
     reaction: str
     consumed: Tuple[Element, ...]
     produced: Tuple[Element, ...]
     binding: Dict[str, Any] = field(default_factory=dict)
+    times: int = 1
 
     def signature(self) -> Tuple[str, Tuple[Tuple[Any, str], ...]]:
         """A reuse signature: reaction name plus the (value, label) pairs consumed.
@@ -51,7 +60,7 @@ class StepRecord:
     @property
     def width(self) -> int:
         """Number of reactions fired simultaneously in this step."""
-        return len(self.firings)
+        return sum(firing.times for firing in self.firings)
 
 
 class Trace:
@@ -73,13 +82,16 @@ class Trace:
         consumed: Sequence[Element],
         produced: Sequence[Element],
         binding: Optional[Dict[str, Any]] = None,
+        times: int = 1,
     ) -> FiringRecord:
+        """Append one firing (of multiplicity ``times``) to ``step``."""
         firing = FiringRecord(
             step=step.step,
             reaction=reaction,
             consumed=tuple(consumed),
             produced=tuple(produced),
             binding=dict(binding or {}),
+            times=times,
         )
         step.firings.append(firing)
         return firing
@@ -91,10 +103,11 @@ class Trace:
 
     @property
     def num_firings(self) -> int:
-        return sum(len(s.firings) for s in self.steps)
+        return sum(s.width for s in self.steps)
 
     def firings(self) -> List[FiringRecord]:
-        """All firings in order."""
+        """All firing records in order (one per distinct firing decision;
+        a record of multiplicity ``times`` stands for that many firings)."""
         out: List[FiringRecord] = []
         for step in self.steps:
             out.extend(step.firings)
@@ -106,7 +119,7 @@ class Trace:
 
     def parallelism_profile(self) -> List[int]:
         """Reactions fired per step (the Gamma-side parallelism profile)."""
-        return [s.width for s in self.steps if s.width > 0]
+        return [width for width in (s.width for s in self.steps) if width > 0]
 
     def max_parallelism(self) -> int:
         profile = self.parallelism_profile()
@@ -122,7 +135,7 @@ class Trace:
         """Reaction name -> number of firings."""
         counts: Dict[str, int] = {}
         for firing in self.firings():
-            counts[firing.reaction] = counts.get(firing.reaction, 0) + 1
+            counts[firing.reaction] = counts.get(firing.reaction, 0) + firing.times
         return counts
 
     def reuse_statistics(self) -> Dict[str, int]:
@@ -132,9 +145,8 @@ class Trace:
         ``reusable`` (= total - unique) firings that a DF-DTM-style
         memoization cache would have skipped.
         """
-        signatures = [f.signature() for f in self.firings()]
-        unique = len(set(signatures))
-        total = len(signatures)
+        unique = len({f.signature() for f in self.firings()})
+        total = self.num_firings
         return {"total": total, "unique": unique, "reusable": total - unique}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1046,8 +1046,10 @@ def columnar_collect(
 ):
     """Columnar variant of :meth:`CompiledReaction.collect`, or ``None``.
 
-    Yields the *same matches in the same order* as the deterministic
-    codegenned collector — same claim accounting against the shared
+    Yields the *same* ``(tuple, k)`` *matches in the same order* as the
+    deterministic codegenned collector — same multiplicity rule (``times`` =
+    the minimum over held objects of unclaimed copies // slots the object
+    fills, claimed at once), same claim accounting against the shared
     ``remaining`` map, same exhausted-prefix head advance (kept in ``cache``
     so it persists across one superstep's reactions), same stable tie-break
     order — but enumerates guard-true partners from one cached mask sweep
@@ -1107,12 +1109,15 @@ def _collect_iter(
             j0 += 1
             continue
         if unary:
-            binding = vec.binding_for((e0,))
+            # One slot: every unclaimed copy of e0 fires.
             yield CompiledMatch(
-                reaction=vec.reaction, consumed=(e0,), binding=binding, compiled=compiled
+                reaction=vec.reaction,
+                consumed=(e0,),
+                binding=vec.binding_for((e0,)),
+                times=mcount(e0) if r0 is None else r0,
+                compiled=compiled,
             )
-            x0 = remaining.get(e0)
-            remaining[e0] = (mcount(e0) if x0 is None else x0) - 1
+            remaining[e0] = 0
             j0 += 1
             continue
         # Advance the inner exhausted-prefix head, then walk the cached
@@ -1126,7 +1131,6 @@ def _collect_iter(
             head1 += 1
         snap1.head = head1
         cands = _candidates(vec, snap1, int(v0), int(t0), cache)
-        stop = False
         for p in cands[bisect_left(cands, head1):]:
             e1 = elems1[p]
             n1 = 1 if (collide and e1 is e0) else 0
@@ -1138,17 +1142,26 @@ def _collect_iter(
                 continue
             elif r1 <= n1:
                 continue
-            binding = vec.binding_for((e0, e1))
-            yield CompiledMatch(
-                reaction=vec.reaction, consumed=(e0, e1), binding=binding, compiled=compiled
-            )
+            # Multiplicity: fire the pair as often as both sides afford (one
+            # object in both slots needs two copies per firing).
             x0 = remaining.get(e0)
-            remaining[e0] = (mcount(e0) if x0 is None else x0) - 1
-            x1 = remaining.get(e1)
-            remaining[e1] = (mcount(e1) if x1 is None else x1) - 1
-            if remaining[e0] <= 0:
-                stop = True
+            if x0 is None:
+                x0 = mcount(e0)
+            if n1:
+                times = x0 // 2
+                left0 = remaining[e0] = x0 - 2 * times
+            else:
+                x1 = mcount(e1) if r1 is None else r1
+                times = x0 if x0 < x1 else x1
+                left0 = remaining[e0] = x0 - times
+                remaining[e1] = x1 - times
+            yield CompiledMatch(
+                reaction=vec.reaction,
+                consumed=(e0, e1),
+                binding=vec.binding_for((e0, e1)),
+                times=times,
+                compiled=compiled,
+            )
+            if left0 <= 0:
                 break
         j0 += 1
-        if stop:
-            continue

@@ -17,7 +17,8 @@ difference) used by the equivalence checker and tests.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .element import Element, make_elements
 
@@ -232,18 +233,23 @@ class Multiset:
                 listener(element, 1)
 
     def rewrite_batch_unchecked(
-        self, removed: Iterable[Element], added: Iterable[Element]
+        self,
+        removed: Union[Mapping[Element, int], Iterable[Element]],
+        added: Union[Mapping[Element, int], Iterable[Element]],
     ) -> None:
         """Apply one whole *superstep* of rewrites without pre-validation.
 
         Batch counterpart of :meth:`rewrite_unchecked` for the parallel
-        engine: ``removed``/``added`` are the concatenated consumed/produced
-        elements of a set of pairwise-disjoint matches, all selected against
-        the current state (so no removed element may depend on an added one).
+        engine: ``removed``/``added`` are the consumed/produced elements of a
+        set of pairwise-disjoint firings, all selected against the current
+        state (so no removed element may depend on an added one) — either as
+        ``{element: copies}`` mappings, the form the ``(tuple, k)`` superstep
+        matches aggregate to (:func:`repro.gamma.matching.fire_batch`), or
+        as plain iterables with one entry per copy, which are counted here.
         The batch is applied in two phases — all removals, then all additions
-        — with the per-copy work aggregated per distinct element, and **one
-        change notification per distinct element per phase** (``delta`` is the
-        total copy count) instead of one per copy.  The final counts always
+        — per distinct element in first-occurrence order, with **one change
+        notification per distinct element per phase** (``delta`` is the total
+        copy count) instead of one per copy.  The final counts always
         equal firing the matches one by one, and so does the key/bucket
         insertion order (which seeded schedulers observe) — *except* when one
         match consumes an element that another match of the same batch also
@@ -258,9 +264,7 @@ class Multiset:
         counts = self._counts
         by_label = self._by_label
         listeners = self._listeners
-        removed_counts: Counter = Counter()
-        for element in removed:
-            removed_counts[element] += 1
+        removed_counts = removed if isinstance(removed, Mapping) else Counter(removed)
         for element, count in removed_counts.items():
             have = counts.get(element, 0)
             if have < count:
@@ -282,9 +286,7 @@ class Multiset:
                 bucket[element] -= count
             for listener in listeners:
                 listener(element, -count)
-        added_counts: Counter = Counter()
-        for element in added:
-            added_counts[element] += 1
+        added_counts = added if isinstance(added, Mapping) else Counter(added)
         for element, count in added_counts.items():
             counts[element] += count
             self._size += count

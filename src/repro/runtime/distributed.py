@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..api import RuntimeConfig
 
 from ..gamma.engine import NonTerminationError
-from ..gamma.matching import Match, Matcher
+from ..gamma.matching import Matcher, fire_batch
 from ..gamma.program import GammaProgram
 from ..gamma.scheduler import ReactionScheduler
 from ..multiset.element import Element
@@ -323,16 +323,9 @@ class DistributedGammaRuntime:
                             budget=self.firings_per_worker_step
                         )
                         if matches:
-                            removed: List[Element] = []
-                            added: List[Element] = []
-                            for match in matches:
-                                removed.extend(match.consumed)
-                                added.extend(match.produced())
-                            if self.compiled:
-                                local.rewrite_batch_unchecked(removed, added)
-                            else:
-                                local.replace(removed, added)
-                            executed = len(matches)
+                            executed = fire_batch(
+                                local, matches, validate=not self.compiled
+                            )
                     else:
                         apply_rewrite = (
                             local.rewrite_unchecked if self.compiled else local.replace

@@ -4,10 +4,11 @@ A :class:`ShardWorker` owns a local :class:`~repro.multiset.multiset.Multiset`
 partition and a persistent compiled
 :class:`~repro.gamma.scheduler.ReactionScheduler` over it — the same stack
 the single-process engines run on.  Local execution fires *supersteps*: the
-scheduler's codegenned collectors extract a maximal pairwise-disjoint match
-set which is applied through one validation-free batched rewrite
-(:meth:`~repro.multiset.multiset.Multiset.rewrite_batch_unchecked`), exactly
-like :class:`~repro.gamma.engine.ParallelEngine` does globally.  Migrations
+scheduler's codegenned collectors extract a maximal disjoint set of
+``(tuple, k)`` matches — one per distinct combination, fired ``k`` times —
+which is applied through one validation-free counted batch rewrite
+(:func:`~repro.gamma.matching.fire_batch`), exactly like
+:class:`~repro.gamma.engine.ParallelEngine` does globally.  Migrations
 flow through the multiset's change notifications, so the scheduler's
 persistent index and parked-reaction worklist stay fresh across transfers
 without rebuilds.
@@ -23,6 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ...gamma.matching import fire_batch
 from ...gamma.reaction import Reaction
 from ...gamma.scheduler import ReactionScheduler
 from ...multiset.element import Element
@@ -124,8 +126,9 @@ class ShardWorker:
         ``max_supersteps`` caps the supersteps of this round (``None`` runs
         to the local fixpoint); ``budget`` caps the firings per superstep
         (``None`` extracts maximal batches).  Returns the round's
-        :class:`LocalReport`.  In single-firing mode (``superstep=False``)
-        each "superstep" is one firing.
+        :class:`LocalReport`, whose ``fired`` counts firings — a match of
+        multiplicity ``k`` counts ``k``.  In single-firing mode
+        (``superstep=False``) each "superstep" is one firing.
         """
         fired = 0
         steps = 0
@@ -133,22 +136,13 @@ class ShardWorker:
         multiset = self.multiset
         scheduler = self.scheduler
         if self.superstep:
-            apply_batch = (
-                multiset.rewrite_batch_unchecked if self.compiled else multiset.replace
-            )
             while max_supersteps is None or steps < max_supersteps:
                 scheduler.refresh()
                 matches = scheduler.collect_superstep_matches(budget=budget)
                 if not matches:
                     stable = True
                     break
-                removed: List[Element] = []
-                added: List[Element] = []
-                for match in matches:
-                    removed.extend(match.consumed)
-                    added.extend(match.produced())
-                apply_batch(removed, added)
-                fired += len(matches)
+                fired += fire_batch(multiset, matches, validate=not self.compiled)
                 steps += 1
         else:
             apply_rewrite = (

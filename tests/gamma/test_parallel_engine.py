@@ -21,7 +21,7 @@ from repro.api import RuntimeConfig
 
 def _trace_key(result):
     return [
-        (f.step, f.reaction, f.consumed, f.produced, f.binding)
+        (f.step, f.reaction, f.consumed, f.produced, f.binding, f.times)
         for f in result.trace.firings()
     ]
 
@@ -68,6 +68,20 @@ class TestParallelEngine:
         assert result.final.values_with_label("x") == [
             sum(workload.initial.values_with_label("x"))
         ]
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("max_batch", [1, 2, 3, 7])
+    def test_max_batch_caps_firings_not_matches(self, max_batch, seed):
+        # 12 copies per value: one match stands for up to 12 firings, so the
+        # cap has to clip ``times`` — capping the match *list* would let a
+        # single superstep fire far more than max_batch.
+        initial = values_multiset([v for v in (1, 2, 3, 4) for _ in range(12)])
+        for program in (min_element(), sum_reduction()):
+            sequential = SequentialEngine().run(program, initial)
+            result = ParallelEngine(seed=seed, max_batch=max_batch).run(program, initial)
+            assert max(result.parallelism_profile()) <= max_batch
+            assert result.final == sequential.final
+            assert result.firings == sequential.firings == result.trace.num_firings
 
     def test_interpreted_mode_matches_compiled_final_state(self):
         workload = make_workload("min_element", size=20, seed=6)
@@ -162,23 +176,54 @@ class TestSuperstepCollection:
             scheduler.detach()
 
     def test_self_pairing_consumes_two_copies(self):
-        # One distinct element with multiplicity 5: exactly one (e, e) match
-        # is enumerable per superstep (candidates are distinct elements, the
-        # same discipline as the interpreted matcher).
+        # One distinct element with multiplicity 5: the single (e, e) tuple
+        # (candidates are distinct elements, the same discipline as the
+        # interpreted matcher) holds one object in both slots, so each firing
+        # costs two copies and it fires 5 // 2 times.
         multiset = values_multiset([2, 2, 2, 2, 2])
         scheduler = ReactionScheduler(sum_reduction().reactions, multiset)
         try:
             matches = scheduler.collect_superstep_matches()
             assert len(matches) == 1
             assert matches[0].consumed[0] is matches[0].consumed[1]
+            assert matches[0].times == 2
         finally:
             scheduler.detach()
+
+    @pytest.mark.parametrize("options", [{}, {"columnar": True}, {"compiled": False}])
+    def test_matches_carry_multiplicity(self, options):
+        # 3 x 1, 5 x 2, 4 x 3 under min_element: (1, 2) fires min(3, 5) times,
+        # then the two unclaimed 2s take two of the 3s — one decision per
+        # distinct tuple, by codegenned, columnar and accounting collectors.
+        multiset = values_multiset([1] * 3 + [2] * 5 + [3] * 4)
+        scheduler = ReactionScheduler(min_element().reactions, multiset, **options)
+        try:
+            matches = scheduler.collect_superstep_matches()
+        finally:
+            scheduler.detach()
+        decisions = [
+            (tuple(e.value for e in m.consumed), m.times) for m in matches
+        ]
+        assert decisions == [((1, 2), 3), ((2, 3), 2)]
+        assert "×3" in repr(matches[0])
 
     def test_budget_caps_collection(self):
         multiset = values_multiset(range(1, 17))
         scheduler = ReactionScheduler(min_element().reactions, multiset)
         try:
             assert len(scheduler.collect_superstep_matches(budget=5)) == 5
+        finally:
+            scheduler.detach()
+
+    def test_budget_clips_the_last_match(self):
+        # The budget counts firings: (1, 2) x 10 is clipped to the remainder
+        # and collection stops there.
+        multiset = values_multiset([1] * 10 + [2] * 15 + [3] * 10)
+        scheduler = ReactionScheduler(min_element().reactions, multiset)
+        try:
+            assert [m.times for m in scheduler.collect_superstep_matches(budget=7)] == [7]
+            assert [m.times for m in scheduler.collect_superstep_matches(budget=13)] == [10, 3]
+            assert [m.times for m in scheduler.collect_superstep_matches()] == [10, 5]
         finally:
             scheduler.detach()
 

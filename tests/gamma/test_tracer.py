@@ -1,7 +1,8 @@
 """Unit tests for execution traces."""
 
-from repro.gamma import MaxParallelEngine, run
-from repro.gamma.stdlib import sum_reduction, values_multiset
+from repro.analysis.reaction_graph import flow_weights, hot_label_report
+from repro.gamma import MaxParallelEngine, ParallelEngine, run
+from repro.gamma.stdlib import min_element, sum_reduction, values_multiset
 from repro.gamma.tracer import Trace
 from repro.api import RuntimeConfig
 
@@ -49,3 +50,54 @@ class TestTraceRecording:
         assert stats["total"] == 2
         assert stats["unique"] == 1
         assert stats["reusable"] == 1
+
+
+class TestFiringMultiplicity:
+    """A record of multiplicity ``times`` counts as that many firings."""
+
+    @staticmethod
+    def trace():
+        from repro.multiset import Element
+
+        trace = Trace()
+        step = trace.begin_step()
+        trace.record(step, "R", [Element(1, "a", 0)], [Element(2, "b", 0)], times=5)
+        trace.record(step, "S", [Element(3, "b", 0)], [Element(4, "c", 0)], times=3)
+        step = trace.begin_step()
+        trace.record(step, "R", [Element(1, "a", 7)], [Element(2, "b", 7)])
+        trace.record(step, "R", [Element(1, "a", 8)], [Element(2, "b", 8)])
+        return trace
+
+    def test_times_defaults_to_one(self):
+        assert [f.times for f in self.trace().firings()] == [5, 3, 1, 1]
+
+    def test_width_and_profile_weight_by_times(self):
+        trace = self.trace()
+        assert [step.width for step in trace.steps] == [8, 2]
+        assert trace.parallelism_profile() == [8, 2]
+        assert trace.max_parallelism() == 8
+        assert trace.num_steps == 2
+
+    def test_num_firings_and_firing_counts_weight_by_times(self):
+        trace = self.trace()
+        assert trace.num_firings == 10
+        assert trace.firing_counts() == {"R": 7, "S": 3}
+        assert len(trace.firings()) == 4  # records, not firings
+
+    def test_reuse_statistics_weight_by_times(self):
+        # 10 firings over 2 distinct (reaction, values) signatures: all but
+        # the first firing of each signature could have been replayed.
+        assert self.trace().reuse_statistics() == {"total": 10, "unique": 2, "reusable": 8}
+
+    def test_reaction_graph_readers_weight_by_times(self):
+        trace = self.trace()
+        assert hot_label_report(trace) == [("b", 3, 7), ("a", 7, 0), ("c", 0, 3)]
+        assert flow_weights(trace) == {("R", "S"): 3}
+
+    def test_parallel_engine_records_one_entry_per_match(self):
+        initial = values_multiset([1] * 40 + [2] * 40)
+        result = ParallelEngine().run(min_element(), initial)
+        assert [(f.reaction, f.times) for f in result.trace.firings()] == [("Rmin", 40)]
+        assert result.firings == result.trace.num_firings == 40
+        assert result.parallelism_profile() == [40]
+        assert result.trace.firing_counts() == {"Rmin": 40}

@@ -39,7 +39,7 @@ PAPER_WORKLOADS = (
 def _fingerprint(result):
     return [
         [
-            (f.step, f.reaction, f.consumed, f.produced, f.binding)
+            (f.step, f.reaction, f.consumed, f.produced, f.binding, f.times)
             for f in step.firings
         ]
         for step in result.trace.steps

@@ -1,5 +1,7 @@
 """Unit tests for the counted multiset."""
 
+from collections import Counter
+
 import pytest
 
 from repro.multiset import Element, Multiset
@@ -197,10 +199,27 @@ class TestBatchRewrite:
         assert events == [(1, -2), (2, -1), (7, 2)]
         assert sorted(e.value for e in m) == [3, 7, 7]
 
+    def test_counted_mappings_equal_per_copy_iterables(self):
+        # The (tuple, k) form: {element: copies}, applied without expansion —
+        # same counts, key order and notifications as one entry per copy.
+        removed = [Element(1, "A"), Element(2, "B"), Element(1, "A")]
+        added = [Element(7, "C"), Element(3, "B"), Element(7, "C"), Element(7, "C")]
+        outcomes = []
+        for form in (lambda items: items, lambda items: dict(Counter(items))):
+            m = ms((1, "A"), (1, "A"), (1, "A"), (2, "B"), (3, "B"))
+            events = []
+            m.subscribe(lambda element, delta: events.append((element.value, delta)))
+            m.rewrite_batch_unchecked(form(removed), form(added))
+            outcomes.append((m.counts(), m.distinct(), events))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == [(1, -2), (2, -1), (7, 3), (3, 1)]
+
     def test_overconsumption_raises(self):
         m = ms((1, "A"))
         with pytest.raises(KeyError):
             m.rewrite_batch_unchecked([Element(1, "A"), Element(1, "A")], [])
+        with pytest.raises(KeyError):
+            m.rewrite_batch_unchecked({Element(1, "A"): 2}, {})
         with pytest.raises(KeyError):
             ms((2, "B")).rewrite_batch_unchecked([Element(9, "Z")], [])
 

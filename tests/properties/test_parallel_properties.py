@@ -29,7 +29,7 @@ WORKLOADS = (
 
 def _trace_key(result):
     return [
-        (f.step, f.reaction, f.consumed, f.produced, f.binding)
+        (f.step, f.reaction, f.consumed, f.produced, f.binding, f.times)
         for f in result.trace.firings()
     ]
 

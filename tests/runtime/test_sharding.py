@@ -1,10 +1,11 @@
 """Tests for the sharded distributed execution subsystem."""
 
 import multiprocessing
+import random
 
 import pytest
 
-from repro.gamma import run
+from repro.gamma import ParallelEngine, run
 from repro.gamma.engine import NonTerminationError
 from repro.gamma.expr import Const
 from repro.gamma.program import GammaProgram
@@ -244,6 +245,29 @@ class TestShardWorker:
         assert not report.stable
         worker.close()
 
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7])
+    def test_budget_caps_firings_per_superstep(self, budget, seed):
+        # 12 copies per value: matches carry multiplicity, and the budget
+        # caps what a superstep *fires*, not how many matches it lists.
+        worker = ShardWorker(0, min_element().reactions, seed=seed)
+        worker.ingest([(Element(v, "x", 0), 12) for v in (1, 2, 3, 4)])
+        report = worker.run_local(max_supersteps=1, budget=budget)
+        while not report.stable:
+            assert 1 <= report.fired <= budget
+            report = worker.run_local(max_supersteps=1, budget=budget)
+        assert worker.firings == 36
+        assert worker.multiset == Multiset([(1, "x")] * 12)
+        worker.close()
+
+    def test_fired_counts_copies_not_matches(self):
+        worker = ShardWorker(0, min_element().reactions)
+        worker.ingest([(Element(1, "x", 0), 40), (Element(2, "x", 0), 40)])
+        report = worker.run_local()
+        assert (report.fired, report.supersteps) == (40, 1)
+        assert worker.firings == 40
+        worker.close()
+
     def test_single_firing_mode(self):
         program = sum_reduction()
         worker = ShardWorker(0, program.reactions, superstep=False)
@@ -443,6 +467,15 @@ class TestDistributedRuntimeBackends:
         result = DistributedGammaRuntime(sum_reduction(), 1, local_batches=True, firings_per_worker_step=4, config=RuntimeConfig(backend="inprocess")).run(values_multiset(range(1, 33)))
         assert result.supersteps >= 8
 
+    @pytest.mark.parametrize("cap", [1, 2, 3, 7])
+    def test_legacy_firing_cap_counts_copies(self, cap):
+        initial = values_multiset([v for v in (1, 2, 3, 4) for _ in range(12)])
+        result = DistributedGammaRuntime(
+            min_element(), 1, local_batches=True, firings_per_worker_step=cap
+        ).run(initial)
+        assert result.firings == 36
+        assert result.steps >= -(-36 // cap)  # at most ``cap`` firings per step
+
     def test_explicit_firing_cap_of_one_is_honored(self):
         # An explicit cap of 1 reproduces the one-firing-per-superstep cost
         # model (31 firings -> >= 31 supersteps); only the *unset* default
@@ -452,6 +485,39 @@ class TestDistributedRuntimeBackends:
         unset = DistributedGammaRuntime(sum_reduction(), 1, config=RuntimeConfig(backend="inprocess")).run(values_multiset(range(1, 33)))
         assert unset.supersteps < capped.supersteps
         assert unset.final == capped.final
+
+
+class TestMultiplicityCountGate:
+    """Deterministic, machine-independent form of the shard_inproc claim:
+    matching cost follows distinct elements, so 40 copies per value must not
+    cost 40 barrier rounds.  Same input shape and config as the e2e workload
+    (one-copy collectors needed ~122 rounds, resp. 17-19 supersteps)."""
+
+    @staticmethod
+    def values(size, seed):
+        rng = random.Random(seed)
+        return [rng.randint(1, 1000) for _ in range(size)]
+
+    @pytest.mark.parametrize("input_seed", [7, 11])
+    def test_shard_inproc_rounds(self, input_seed):
+        values = self.values(40_000, input_seed)
+        result = DistributedGammaRuntime(
+            min_element(), config=RuntimeConfig(backend="inprocess", shards=4, seed=3)
+        ).run(values_multiset(values))
+        assert result.values_with_label("x") == [min(values)] * values.count(min(values))
+        assert result.firings == len(values) - values.count(min(values))
+        assert sum(result.per_partition_firings) == result.firings
+        assert result.rounds <= 30
+
+    @pytest.mark.parametrize("input_seed", [7, 11])
+    @pytest.mark.parametrize("engine_seed", [None, 3])
+    def test_parallel_engine_supersteps(self, input_seed, engine_seed):
+        values = self.values(10_000, input_seed)
+        result = ParallelEngine(seed=engine_seed).run(
+            min_element(), values_multiset(values)
+        )
+        assert result.firings == len(values) - values.count(min(values))
+        assert result.steps <= 14
 
 
 @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork start method unavailable")
