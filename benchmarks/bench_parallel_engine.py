@@ -13,6 +13,13 @@ Workloads (sizes 10^2–10^5):
 * ``sum_reduction`` — guard-free fold, the honest lower bound (every element
   pairs, so sequential matching is already cheap).
 
+One more ratio is gated in *both* modes, because it is a complexity class
+rather than a speed: a seeded run over *distinct* values (the worst case for
+candidate shuffling — no copies to fold into multiplicities) may cost at most
+2x the unseeded run.  The seeded collectors draw one permutation per bucket
+per superstep; a per-candidate reshuffle reads ~66x at 10^4 (~10x at the fast
+mode's 10^3).
+
 Two structural checks back the acceptance criteria:
 
 * seeded superstep traces are bit-identical at every worker count (production
@@ -24,12 +31,16 @@ Set ``BENCH_FAST=1`` for the CI smoke mode: tiny sizes, same JSON schema.
 """
 
 import os
+import random
 import time
+from functools import partial
 
 from _report import emit_json, emit_report
 from repro.analysis import format_table
 from repro.gamma import ParallelEngine, SequentialEngine
+from repro.gamma.stdlib import min_element, values_multiset
 from repro.workloads import make_workload
+from repro.workloads.classic import ClassicWorkload
 
 FAST_MODE = os.environ.get("BENCH_FAST", "") not in ("", "0")
 
@@ -41,6 +52,9 @@ WORKLOADS = ("min_element", "sum_reduction")
 ACCEPTANCE_SIZE = 10_000
 ACCEPTANCE_WORKLOAD = "min_element"
 ACCEPTANCE_RATIO = 2.0
+#: Acceptance: seeded / unseeded wall time on distinct values (both modes).
+SEEDED_SIZE = 1_000 if FAST_MODE else 10_000
+SEEDED_MAX_RATIO = 2.0
 
 TRACE_WORKLOADS = ("min_element", "sum_reduction", "prime_sieve", "exchange_sort", "gcd")
 TRACE_WORKER_COUNTS = (None, 1, 2, 4)
@@ -109,6 +123,38 @@ def test_report_parallel_engine_scaling():
                 ]
             )
 
+    # -- a seed must not change the complexity class ----------------------------
+    values = random.Random(7).sample(range(10 * SEEDED_SIZE), SEEDED_SIZE)
+    distinct = ClassicWorkload("min_element", min_element(), values_multiset(values), [min(values)])
+    seeded = {}
+    for mode, factory in (
+        ("parallel", ParallelEngine),
+        ("parallel-seeded", partial(ParallelEngine, seed=1)),
+    ):
+        seconds, steps, firings = _run_to_stable(distinct, factory, repeats=5)
+        seeded[mode] = {
+            "workload": "min_element_distinct",
+            "engine": mode,
+            "mode": "compiled",
+            "size": SEEDED_SIZE,
+            "seconds": seconds,
+            "steps": steps,
+            "firings": firings,
+            "firings_per_second": firings / seconds,
+            "seconds_per_step": seconds / steps,
+        }
+    records.extend(seeded.values())
+    seeded_ratio = seeded["parallel-seeded"]["seconds"] / seeded["parallel"]["seconds"]
+    rows.append(
+        [
+            "min_element (distinct)",
+            SEEDED_SIZE,
+            "-",
+            f"{seeded['parallel']['firings_per_second']:.0f}",
+            f"seeded/unseeded wall {seeded_ratio:.2f}x",
+        ]
+    )
+
     # -- seeded traces identical at every worker count --------------------------
     trace_identical = {}
     for name in TRACE_WORKLOADS:
@@ -148,9 +194,20 @@ def test_report_parallel_engine_scaling():
             "size": ACCEPTANCE_SIZE,
             "required_ratio": ACCEPTANCE_RATIO,
         },
+        seeded_over_unseeded={
+            "workload": "min_element_distinct",
+            "size": SEEDED_SIZE,
+            "wall_ratio": seeded_ratio,
+            "max_ratio": SEEDED_MAX_RATIO,
+        },
         fast_mode=FAST_MODE,
     )
     assert payload_path.exists()
+
+    assert seeded_ratio <= SEEDED_MAX_RATIO, (
+        f"seeded run costs {seeded_ratio:.1f}x the unseeded one on {SEEDED_SIZE} "
+        f"distinct values (allowed {SEEDED_MAX_RATIO}x)"
+    )
 
     key = f"{ACCEPTANCE_WORKLOAD}@{ACCEPTANCE_SIZE}"
     if key in speedups:  # the acceptance size is not swept in fast mode

@@ -27,7 +27,7 @@ the key alone the compiler derives
   generated matcher keeps the slot vector in local variables of one stack
   frame (the compiled form of a flat slot list), so candidate probes bind and
   compare scalars instead of copying dicts;
-* **codegenned matcher factories** — deterministic and shuffled variants of
+* **codegenned matcher factories** — deterministic and seeded variants of
   ``find`` (first enabled match) and ``iterate`` (all enabled matches), plus
   the two lazy superstep collectors, each emitted as
   ``def make(C, H): def matcher(...): ...; return matcher`` and
@@ -37,7 +37,12 @@ the key alone the compiler derives
   :class:`~repro.multiset.index.LabelTagIndex` raw buckets, and the
   consumed-multiplicity check is an O(1) comparison against the elements
   already chosen by the enclosing loops (no ``sum(...)``/``multiset.count``
-  rescan per candidate).
+  rescan per candidate).  A seed only reorders candidates, at a cost
+  proportional to what is visited: ``find_rng``/``iter_rng`` scan each level
+  through :func:`~repro.gamma.matching.lazy_shuffle` (one draw per candidate
+  visited), and ``collect_rng`` is ``collect_det``'s body with one extra
+  line — the per-superstep bucket snapshot is shuffled when its view is
+  built (one permutation per bucket per superstep).
 
 Guards and productions evaluated outside the matcher (``lambda E: ...``
 closures over a binding dict) and the columnar mask programs of
@@ -69,8 +74,8 @@ every reaction of the paper's listings and of Algorithm 1's output that the
 engines' seeded-trace tests pin — the compiled matcher enumerates exactly the
 same matches in exactly the same order as the interpreted
 :class:`~repro.gamma.matching.Matcher`, consumes the RNG identically in
-shuffled mode, and raises the same exceptions from guard/production
-evaluation.  When the plan genuinely reorders patterns the *set* of matches
+seeded mode (draw for draw, also when a probe stops early), and raises the
+same exceptions from guard/production evaluation.  When the plan genuinely reorders patterns the *set* of matches
 is unchanged but the enumeration order may differ (the same latitude the
 scheduler's parking already takes for seeded engines).  The property tests in
 ``tests/properties/test_compiled_properties.py`` pin both halves of this
@@ -111,7 +116,7 @@ from .expr import (
     Var,
     _safe_div,
 )
-from .matching import Match
+from .matching import Match, lazy_shuffle
 from .pattern import Binding, ElementPattern, ElementTemplate
 from .reaction import Reaction
 
@@ -293,6 +298,7 @@ _NAMESPACE: Dict[str, Any] = {
     "id": id,
     "len": len,
     "range": range,
+    "lazy_shuffle": lazy_shuffle,
 }
 
 #: Stage-1 cache of ``lambda E: ...`` closure factories, keyed by expression key.
@@ -594,23 +600,17 @@ def _emit_matcher_body(emitter: _MatcherEmitter, shuffled: bool, emit: str) -> N
         tag_frag = emitter.known(tag)
 
         # -- candidate source (mirrors Matcher._candidates exactly) ---------
-        if label_frag is not None and tag_frag is not None:
-            writer.w(f"t{k} = _idx.get({label_frag})")
-            writer.w(f"b{k} = t{k}.get({tag_frag}) if t{k} is not None else None")
-            if shuffled:
-                writer.w(f"c{k} = list(b{k}) if b{k} else []")
-                writer.w(f"rng.shuffle(c{k})")
-                writer.w(f"for e{k} in c{k}:")
+        # Shuffled variants pool the same candidates the deterministic loops
+        # visit and scan them through ``lazy_shuffle``: draws are paid per
+        # candidate visited, not per bucket element.
+        if label_frag is not None:
+            if tag_frag is not None:
+                writer.w(f"t{k} = _idx.get({label_frag})")
+                writer.w(f"b{k} = t{k}.get({tag_frag}) if t{k} is not None else None")
             else:
-                writer.w(f"if b{k}:")
-                writer.indent += 1
-                writer.w(f"for e{k} in b{k}:")
-        elif label_frag is not None:
-            writer.w(f"b{k} = _flat.get({label_frag})")
+                writer.w(f"b{k} = _flat.get({label_frag})")
             if shuffled:
                 writer.w(f"c{k} = list(b{k}) if b{k} else []")
-                writer.w(f"rng.shuffle(c{k})")
-                writer.w(f"for e{k} in c{k}:")
             else:
                 writer.w(f"if b{k}:")
                 writer.indent += 1
@@ -622,8 +622,6 @@ def _emit_matcher_body(emitter: _MatcherEmitter, shuffled: bool, emit: str) -> N
                 writer.w(f"    b{k} = t{k}.get({tag_frag})")
                 writer.w(f"    if b{k}:")
                 writer.w(f"        c{k}.extend(b{k})")
-                writer.w(f"rng.shuffle(c{k})")
-                writer.w(f"for e{k} in c{k}:")
             else:
                 writer.w(f"for t{k} in _idx.values():")
                 writer.indent += 1
@@ -636,12 +634,12 @@ def _emit_matcher_body(emitter: _MatcherEmitter, shuffled: bool, emit: str) -> N
                 writer.w(f"c{k} = []")
                 writer.w(f"for b{k} in _flat.values():")
                 writer.w(f"    c{k}.extend(b{k})")
-                writer.w(f"rng.shuffle(c{k})")
-                writer.w(f"for e{k} in c{k}:")
             else:
                 writer.w(f"for b{k} in _flat.values():")
                 writer.indent += 1
                 writer.w(f"for e{k} in b{k}:")
+        if shuffled:
+            writer.w(f"for e{k} in lazy_shuffle(c{k}, rng):")
         writer.indent += 1
 
         # -- consumed-multiplicity check (O(1), against enclosing loops) ----
@@ -699,38 +697,35 @@ def _emit_collect_body(emitter: _MatcherEmitter, shuffled: bool) -> None:
         tag_frag = emitter.known(tag)
 
         # -- candidate source: exactly one loop per level -------------------
+        # Scans run over a per-superstep *view* of the bucket — a materialized
+        # snapshot plus a head pointer shared (via ``views``) by every scan of
+        # that bucket this superstep.  Greedy claiming exhausts candidates
+        # mostly front-to-back, so each rescan would otherwise re-skip an
+        # ever-growing exhausted prefix (quadratic for guard-free folds); the
+        # head pointer advances past that prefix permanently, which is sound
+        # because claims only accumulate while the batch is being collected.
+        # The seeded collector differs in one line: it shuffles the snapshot
+        # when the view is built — one permutation per bucket per superstep.
         if tag_frag is not None:
             writer.w(f"t{k} = _idx.get({label_frag})")
             writer.w(f"b{k} = t{k}.get({tag_frag}) if t{k} is not None else None")
         else:
             writer.w(f"b{k} = _flat.get({label_frag})")
+        writer.w(f"if b{k}:")
+        writer.w(f"    v{k} = views.get(id(b{k}))")
+        writer.w(f"    if v{k} is None:")
+        writer.w(f"        v{k} = views[id(b{k})] = [list(b{k}), 0]")
         if shuffled:
-            writer.w(f"c{k} = list(b{k}) if b{k} else []")
-            writer.w(f"rng.shuffle(c{k})")
-            writer.w(f"for e{k} in c{k}:")
-        else:
-            # Deterministic scans run over a per-superstep *view* of the
-            # bucket — a materialized snapshot plus a head pointer shared (via
-            # ``views``) by every scan of that bucket this superstep.  Greedy
-            # claiming exhausts candidates mostly front-to-back, so each
-            # rescan would otherwise re-skip an ever-growing exhausted prefix
-            # (quadratic for guard-free folds); the head pointer advances past
-            # that prefix permanently, which is sound because claims only
-            # accumulate while the batch is being collected.
-            writer.w(f"if b{k}:")
-            writer.w(f"    v{k} = views.get(id(b{k}))")
-            writer.w(f"    if v{k} is None:")
-            writer.w(f"        v{k} = views[id(b{k})] = [list(b{k}), 0]")
-            writer.w(f"    l{k} = v{k}[0]")
-            writer.w(f"    h{k} = v{k}[1]")
-            writer.w("else:")
-            writer.w(f"    l{k} = ()")
-            writer.w(f"    h{k} = 0")
-            writer.w(f"a{k} = True")
-            writer.w(f"for j{k} in range(h{k}, len(l{k})):")
+            writer.w(f"        rng.shuffle(v{k}[0])")
+        writer.w(f"    l{k} = v{k}[0]")
+        writer.w(f"    h{k} = v{k}[1]")
+        writer.w("else:")
+        writer.w(f"    l{k} = ()")
+        writer.w(f"    h{k} = 0")
+        writer.w(f"a{k} = True")
+        writer.w(f"for j{k} in range(h{k}, len(l{k})):")
         writer.indent += 1
-        if not shuffled:
-            writer.w(f"e{k} = l{k}[j{k}]")
+        writer.w(f"e{k} = l{k}[j{k}]")
 
         # -- availability: superstep consumption + within-match collisions --
         # ``rem`` maps element -> remaining copies, initialized lazily on the
@@ -747,27 +742,22 @@ def _emit_collect_body(emitter: _MatcherEmitter, shuffled: bool) -> None:
             writer.w(f"r{k} = rem.get(e{k})")
             writer.w(f"if r{k} is None:")
             writer.w(f"    if n{k} and mcount(e{k}) <= n{k}:")
-            if not shuffled:
-                writer.w(f"        a{k} = False")
+            writer.w(f"        a{k} = False")
             writer.w("        continue")
             writer.w(f"elif r{k} <= 0:")
-            if not shuffled:
-                writer.w(f"    if a{k}:")
-                writer.w(f"        v{k}[1] = j{k} + 1")
+            writer.w(f"    if a{k}:")
+            writer.w(f"        v{k}[1] = j{k} + 1")
             writer.w("    continue")
             writer.w(f"elif r{k} <= n{k}:")
-            if not shuffled:
-                writer.w(f"    a{k} = False")
+            writer.w(f"    a{k} = False")
             writer.w("    continue")
         else:
             writer.w(f"r{k} = rem.get(e{k})")
             writer.w(f"if r{k} is not None and r{k} <= 0:")
-            if not shuffled:
-                writer.w(f"    if a{k}:")
-                writer.w(f"        v{k}[1] = j{k} + 1")
+            writer.w(f"    if a{k}:")
+            writer.w(f"        v{k}[1] = j{k} + 1")
             writer.w("    continue")
-        if not shuffled:
-            writer.w(f"a{k} = False")
+        writer.w(f"a{k} = False")
 
         emitter.field_checks(k, True, tag_frag is not None)
 
@@ -845,14 +835,9 @@ def _matcher_source(shape: ReactionShape, plan: MatchPlan, variant: str) -> str:
     mode, shuffled = _VARIANTS[variant]
     emitter = _MatcherEmitter(shape, plan)
     writer = emitter.writer
+    args = "_idx, _flat, rng, mcount" if shuffled else "_idx, _flat, mcount"
     if mode == "collect":
-        args = (
-            "_idx, _flat, rng, mcount, rem"
-            if shuffled
-            else "_idx, _flat, mcount, rem, views"
-        )
-    else:
-        args = "_idx, _flat, rng, mcount" if shuffled else "_idx, _flat, mcount"
+        args += ", rem, views"
     writer.w(f"def matcher({args}):")
     writer.indent = 1
     if mode == "collect":
@@ -1137,9 +1122,12 @@ class CompiledReaction:
         superstep; entries are created lazily (an absent element still has
         its full multiset count) and reduced by every claim, so one map can
         be shared across all of a superstep's reactions.  ``views`` is the
-        deterministic scan's per-superstep bucket-view cache (snapshot list +
-        exhausted-prefix head pointer, keyed by bucket identity); share one
-        dict across a superstep's reactions for amortized prefix skipping.
+        scan's per-superstep bucket-view cache (snapshot list + exhausted-
+        prefix head pointer, keyed by bucket identity); share one dict across
+        a superstep's reactions for amortized prefix skipping.  With ``rng``
+        each snapshot is shuffled once, when its view is built: the seeded
+        order is one permutation per bucket per ``views`` dict, so sharing
+        the dict is also what makes a seeded superstep cost O(bucket) draws.
         The multiset must not be mutated while the iterator is live — callers
         collect the whole batch first and fire afterwards.  Raises
         ``TypeError`` when :attr:`supports_collect` is false.
@@ -1153,22 +1141,16 @@ class CompiledReaction:
         # buckets, so the coercion/default handling of Multiset.count is dead
         # weight on this, the hottest loop of the parallel backend.
         mcount = multiset._counts.get
+        args = (index.label_tag_buckets(), index.label_buckets())
+        views = {} if views is None else views
         if rng is None:
             if self._collect_det is None:
                 self._collect_det = self._bind("collect_det")
-            raw = self._collect_det(
-                index.label_tag_buckets(),
-                index.label_buckets(),
-                mcount,
-                remaining,
-                {} if views is None else views,
-            )
+            raw = self._collect_det(*args, mcount, remaining, views)
         else:
             if self._collect_rng is None:
                 self._collect_rng = self._bind("collect_rng")
-            raw = self._collect_rng(
-                index.label_tag_buckets(), index.label_buckets(), rng, mcount, remaining
-            )
+            raw = self._collect_rng(*args, rng, mcount, remaining, views)
         for consumed, binding, times in raw:
             yield CompiledMatch(
                 reaction=self.reaction,

@@ -501,9 +501,10 @@ class ParallelEngine(GammaEngine):
         self.seed = seed
         self.workers = workers
         self.max_batch = max_batch
-        # Unseeded runs stay on the deterministic probe order (no shuffling),
-        # which is also the fastest path: shuffled candidate enumeration has
-        # to materialize buckets.
+        # Unseeded runs stay on the deterministic probe order.  A seed costs
+        # one shuffle per bucket snapshot per superstep on top of the same
+        # scan (the collectors materialize that snapshot either way), so it
+        # buys schedule diversity, not a different complexity class.
         self._rng = random.Random(seed) if seed is not None else None
         self._executor: Optional[ThreadPoolExecutor] = None
 

@@ -25,7 +25,28 @@ from ..multiset.multiset import Multiset
 from .pattern import Binding, ElementPattern
 from .reaction import Reaction
 
-__all__ = ["Match", "Matcher", "fire_batch", "find_match", "iter_matches"]
+__all__ = ["Match", "Matcher", "fire_batch", "find_match", "iter_matches", "lazy_shuffle"]
+
+
+def lazy_shuffle(pool: List[Element], rng: random.Random) -> Iterator[Element]:
+    """Yield ``pool`` in uniform random order, one RNG draw per element yielded.
+
+    A Fisher-Yates shuffle that swaps *as the scan proceeds* (``pool`` is the
+    caller's scratch list, consumed in place): a probe that stops after ``t``
+    candidates has paid ``t`` draws, not ``len(pool)``.  Every seeded
+    ``find``/``iter`` probe — interpreted (:meth:`Matcher._candidates`) and
+    compiled (``find_rng``/``iter_rng``) — orders its candidates through this
+    one helper, which is what keeps their RNG consumption identical draw for
+    draw.
+    """
+    randrange = rng.randrange
+    for n in range(len(pool), 1, -1):
+        j = randrange(n)
+        element = pool[j]
+        pool[j] = pool[n - 1]
+        yield element
+    if pool:
+        yield pool[0]
 
 
 @dataclass(frozen=True)
@@ -196,10 +217,10 @@ class Matcher:
     def _candidates(self, pat: ElementPattern, binding: Binding) -> Iterable[Element]:
         """Candidate elements for ``pat`` given the variables bound so far.
 
-        Deterministic matching (``rng is None``) yields candidates lazily from
-        the index — an enabled probe then touches O(arity) elements instead of
-        materializing whole label buckets.  Randomized matching materializes
-        and shuffles, as the chaotic/parallel schedulers require.
+        Candidates come lazily from the index — an enabled probe touches
+        O(arity) elements instead of whole label buckets.  Randomized matching
+        (the chaotic/parallel schedulers) visits the same candidates in a
+        lazily drawn uniform order: see :func:`lazy_shuffle`.
         """
         fixed_label = pat.fixed_label()
         # When the label is a bound variable we can still use the index.
@@ -219,23 +240,15 @@ class Matcher:
             if isinstance(pat.tag, Const):
                 tag_value = pat.tag.value
 
-        if self.rng is None:
-            if fixed_label is not None:
-                return self.index.iter_candidates(fixed_label, tag_value)
-            return self._iter_all_labels(tag_value)
-
         if fixed_label is not None:
-            candidates = self.index.candidates(fixed_label, tag_value)
+            candidates = self.index.iter_candidates(fixed_label, tag_value)
         else:
             # Variable label not yet bound: consider every distinct element,
             # restricted by tag when it is known.
-            candidates = []
-            for label in self.index.labels():
-                candidates.extend(self.index.candidates(label, tag_value))
-
-        candidates = list(candidates)
-        self.rng.shuffle(candidates)
-        return candidates
+            candidates = self._iter_all_labels(tag_value)
+        if self.rng is None:
+            return candidates
+        return lazy_shuffle(list(candidates), self.rng)
 
     def _iter_all_labels(self, tag_value: Optional[int]) -> Iterator[Element]:
         for label in self.index.labels():

@@ -362,6 +362,10 @@ class GatewayClient:
         self._timeout = timeout
         self._decoder = FrameDecoder()
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        # Request/reply frames are tiny: never let Nagle hold one back for an
+        # ACK.  (asyncio's stream transports — both ends of the shard links,
+        # the gateway's server side — set this themselves.)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         kind, payload = self._request(("hello", {"tenant": tenant}))
         if kind != "welcome":
             raise RuntimeError(f"gateway rejected handshake: {kind!r} {payload!r}")

@@ -13,6 +13,7 @@ property suites sample backends inside their Hypothesis strategies — see
 from __future__ import annotations
 
 import multiprocessing
+import random
 
 import pytest
 
@@ -75,3 +76,28 @@ def sum_program():
 def small_multiset():
     """A small multiset of integers under the default data label."""
     return values_multiset([7, 3, 9, 1, 4])
+
+
+class CountingRandom(random.Random):
+    """``random.Random`` that counts its primitive draws (``calls``).
+
+    Every index the stdlib draws costs one or two ``getrandbits`` calls
+    (rejection sampling), so bounds on ``calls`` carry that constant — but
+    they are exact counts, independent of the machine's clock.
+    """
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+@pytest.fixture
+def counting_rng():
+    """Factory of seeded :class:`CountingRandom` streams (``counting_rng(seed)``)."""
+    return CountingRandom

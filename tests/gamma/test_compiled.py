@@ -22,6 +22,7 @@ from repro.gamma import (
     template,
     var,
 )
+from repro.gamma.scheduler import ReactionScheduler
 from repro.gamma.stdlib import (
     exchange_sort,
     gcd_program,
@@ -136,7 +137,49 @@ class TestCompiledMatching:
             assert raw_matches(interpreted, reaction) == raw_matches(
                 compiled, reaction, index, initial, rng=rng_b
             )
-        assert rng_a.random() == rng_b.random()
+            found, twin = interpreted.find(reaction), compiled.find(index, initial, rng=rng_b)
+            assert (found is None) == (twin is None)
+            if found is not None:
+                assert (found.consumed, found.binding) == (twin.consumed, twin.binding)
+            assert rng_a.getstate() == rng_b.getstate()
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_seeded_find_draws_per_candidate_visited_not_per_bucket(self, counting_rng, compiled):
+        # A probe that matches after visiting t candidates of a level pays
+        # <= 2 (t + arity) calls there — never the 4 000-element bucket (one
+        # full shuffle alone is >= n - 1 calls).  The guard-free fold matches
+        # at once (t = 1, or 2 when slot 1 first draws slot 0's element);
+        # under min_element any pair of distinct values is enabled one way
+        # round, so t stays a handful.
+        n, arity = 4_000, 2
+        initial = values_multiset(range(n))
+        for program, bound in (
+            (sum_reduction(), 2 * (1 + arity) + 2 * (2 + arity)),
+            (min_element(), 100),
+        ):
+            rng = counting_rng(11)
+            scheduler = ReactionScheduler(program.reactions, initial, rng=rng, compiled=compiled)
+            try:
+                for _ in range(5):
+                    before = rng.calls
+                    assert scheduler.find_first(shuffled=True) is not None
+                    assert rng.calls - before <= bound
+            finally:
+                scheduler.detach()
+
+    def test_seeded_collect_draws_one_permutation_per_bucket(self, counting_rng):
+        # One superstep over n distinct elements: both slots scan the same
+        # bucket, whose snapshot is shuffled once (n - 1 indices, 1-2 calls
+        # each).  The per-candidate reshuffle this replaced cost ~ n^2 / 2.
+        n = 4_000
+        rng = counting_rng(3)
+        scheduler = ReactionScheduler(min_element().reactions, values_multiset(range(n)), rng=rng)
+        try:
+            matches = scheduler.collect_superstep_matches()
+        finally:
+            scheduler.detach()
+        assert sum(match.times for match in matches) == n // 2
+        assert n - 1 <= rng.calls <= 3 * n
 
     def test_multiplicity_respected_for_duplicate_elements(self):
         reaction = fold_reaction()

@@ -297,6 +297,18 @@ class TestSuperstepCollection:
                 SequentialEngine().run(program, initial).final
             )
 
+    def test_seeded_run_draws_linearly_in_elements_plus_firings(self, counting_rng):
+        # Each superstep shuffles the live bucket once and buckets halve, so
+        # a seeded fold over n distinct values draws ~ 2n indices in total
+        # (the per-candidate reshuffle this pins against drew ~ n^2 / 2 in
+        # the first superstep alone).
+        n = 4_000
+        engine = ParallelEngine(seed=1)
+        engine._rng = rng = counting_rng(1)
+        result = engine.run(min_element(), values_multiset(range(n)))
+        assert result.stable and result.firings == n - 1
+        assert rng.calls <= 4 * (n + result.firings)
+
     def test_parallel_engine_runs_fallback_reactions(self):
         anything = Reaction(
             "Rany",

@@ -151,7 +151,32 @@ class TestCompiledEqualsInterpreted:
         assert raw(interpreted.iter_matches(reaction)) == raw(
             compiled.iter_matches(index, multiset, rng=rng_b)
         )
-        assert rng_a.random() == rng_b.random()
+        assert rng_a.getstate() == rng_b.getstate()
+
+    @given(
+        reaction=identity_plan_reactions(),
+        multiset=multisets,
+        seed=st.integers(min_value=0, max_value=999),
+        limit=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_partial_probes_consume_rng_identically(self, reaction, multiset, seed, limit):
+        # The seeded order is drawn lazily, candidate by candidate, so a probe
+        # abandoned early (find, a limited iteration) must leave both RNGs in
+        # the same *state* — not merely agree on the matches it did return.
+        compiled = compile_reaction(reaction)
+        index = LabelTagIndex(multiset)
+        rng_a, rng_b = random.Random(seed), random.Random(seed)
+        interpreted = Matcher(multiset, index=index, rng=rng_a)
+        found, twin = interpreted.find(reaction), compiled.find(index, multiset, rng=rng_b)
+        assert (found is None) == (twin is None)
+        if found is not None:
+            assert raw([found]) == raw([twin])
+        assert rng_a.getstate() == rng_b.getstate()
+        assert raw(interpreted.iter_matches(reaction, limit=limit)) == raw(
+            compiled.iter_matches(index, multiset, rng=rng_b, limit=limit)
+        )
+        assert rng_a.getstate() == rng_b.getstate()
 
     @given(reaction=mixed_selectivity_reactions(), multiset=multisets)
     @settings(max_examples=120, deadline=None)

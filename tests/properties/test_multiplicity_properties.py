@@ -14,6 +14,10 @@ property suites' mostly-distinct inputs barely touch:
   fold in which one object fills several slots of the same tuple;
 * the object and columnar collectors make identical ``(consumed, times)``
   decisions, with numpy and on the pure-Python fallback;
+* the *seeded* collector — one random permutation per bucket per superstep,
+  then the deterministic scan — repeats itself per seed and hands out a
+  disjoint, exact (``k = min a_i // m_i``) and maximal batch, self-pair
+  tuples and tag-bound buckets included;
 * engines and sharded backends still reach the sequential engine's stable
   multiset with the same number of *firings* (every counter keeps counting
   copies), preserve mass on a chemistry soup, and make identical per-seed
@@ -48,6 +52,7 @@ from repro.gamma.stdlib import (
     sum_reduction,
     values_multiset,
 )
+from repro.multiset import Element, Multiset
 from repro.multiset import columnar as columnar_module
 from repro.runtime.sharding import ShardCoordinator
 
@@ -143,6 +148,56 @@ def test_batch_equals_times_validated_single_firings(name, values, seed, budget,
     fired = fire_batch(batched, matches)
     assert fired == sum(match.times for match in matches)
     assert batched == one_by_one
+
+
+def _tagged_fold() -> GammaProgram:
+    """Tag-bound self-pair: ``replace (a, x, t), (b, x, t) by (a + b, x, t)``.
+
+    Slot 1's bucket is the ``(label, tag)`` bucket slot 0 bound, so one
+    superstep permutes several tag buckets, each shared by both slots.
+    """
+    reaction = Reaction(
+        name="Rtagfold",
+        replace=[pattern("a", "x", "t"), pattern("b", "x", "t")],
+        branches=[Branch(productions=[template(BinOp("+", Var("a"), Var("b")), "x", "t")])],
+    )
+    return GammaProgram([reaction], name="tagged_fold")
+
+
+SEEDED_PROGRAMS = dict(PROGRAMS, tagged_fold=_tagged_fold)
+
+#: 1-60 elements over <= 4 values x 3 tags.
+heavy_tagged = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2)),
+    min_size=1,
+    max_size=60,
+)
+
+
+@IN_PROCESS
+@given(
+    name=st.sampled_from(sorted(SEEDED_PROGRAMS)),
+    items=heavy_tagged,
+    seed=st.integers(min_value=0, max_value=2**16),
+    compiled=st.booleans(),
+)
+def test_seeded_batch_is_repeatable_disjoint_exact_and_maximal(name, items, seed, compiled):
+    """The re-specified seeded order keeps every guarantee of the unseeded scan."""
+    program = SEEDED_PROGRAMS[name]()
+    initial = Multiset(Element(value=value, label="x", tag=tag) for value, tag in items)
+    matches = _collect(program, initial, seed=seed, compiled=compiled)
+    again = _collect(program, initial, seed=seed, compiled=compiled)
+    assert [(m.consumed, m.times) for m in again] == [(m.consumed, m.times) for m in matches]
+
+    unclaimed = Counter(initial.counts())
+    for match in matches:
+        slots = Counter(match.consumed)  # m_i: slots each held object fills
+        afforded = min(unclaimed[element] // m for element, m in slots.items())
+        assert match.times == afforded >= 1
+        for element, m in slots.items():
+            unclaimed[element] -= afforded * m
+    # Maximal: what the batch left unclaimed enables nothing.
+    assert _collect(program, Multiset(unclaimed.elements())) == []
 
 
 @IN_PROCESS

@@ -18,6 +18,7 @@ Three layers, mirroring the module split of :mod:`repro.runtime.net`:
 
 import asyncio
 import multiprocessing
+import socket
 import threading
 import time
 
@@ -494,6 +495,29 @@ class TestGatewayAdmissionControl:
         # the close() farewell after result() keeps growing the gateway total
         assert 0 < result.wire_bytes <= gateway.wire_bytes
         assert gateway.injected == 3
+
+    def test_every_client_side_socket_disables_nagle(self):
+        # Frames are tiny request/reply pairs; a socket left on Nagle can hold
+        # one back for a delayed ACK.  asyncio's stream transports set
+        # TCP_NODELAY themselves (checked on a backend -> shard link); the
+        # gateway client's blocking socket has to do it by hand.
+        def nodelay(sock):
+            return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+        runtime, gateway = self._runtime()
+        client = GatewayClient(gateway.port)
+        try:
+            assert nodelay(client._sock)
+        finally:
+            client.close()
+            runtime.close()
+        reactions = list(sum_reduction().reactions)
+        backend = NetworkBackend(reactions, 1, RoutingTable(reactions, 1), seed=1)
+        try:
+            backend.load(partition_counts(values_multiset([1, 2]), 1))
+            assert nodelay(backend._writers[0].get_extra_info("socket"))
+        finally:
+            backend.stop()
 
     def test_capacity_refusal_is_lossless(self):
         runtime, gateway = self._runtime(capacity=2)
