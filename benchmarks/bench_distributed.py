@@ -1,11 +1,12 @@
 """Experiment E9(d) — the distributed-multiset (IoT) partition sweep.
 
 The paper motivates the equivalence with execution "in a distributed multiset
-environment" (IoT).  This benchmark runs Gamma workloads on the simulated
-partitioned runtime, sweeping the number of partitions (devices): parallel
-steps drop while migrations/messages rise, exposing the locality/communication
-trade-off a real deployment would face.  Results always match the centralized
-execution.
+environment" (IoT).  This benchmark runs Gamma workloads on the in-process
+sharded runtime under the one-firing-per-device cost model
+(``firings_per_worker_step=1``: each shard fires at most once per barrier
+round), sweeping the number of partitions (devices): parallel steps drop while
+migrations/messages rise, exposing the locality/communication trade-off a real
+deployment would face.  Results always match the centralized execution.
 """
 
 import pytest
@@ -27,7 +28,12 @@ def test_report_partition_sweep(benchmark):
     reference = run_gamma(workload.program, workload.initial, engine="sequential").final
     rows = []
     for partitions in PARTITIONS:
-        runtime = DistributedGammaRuntime(workload.program, partitions, config=RuntimeConfig(seed=3))
+        runtime = DistributedGammaRuntime(
+            workload.program,
+            partitions,
+            firings_per_worker_step=1,
+            config=RuntimeConfig(seed=3, backend="inprocess"),
+        )
         result = runtime.run(workload.initial)
         rows.append([
             partitions,

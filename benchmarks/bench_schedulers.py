@@ -5,21 +5,13 @@ sequential, chaotic and maximal-parallel engines are three legitimate
 refinements.  The report shows that on confluent workloads all three reach the
 same stable multiset while differing exactly where they should: number of
 steps (parallel < sequential) and scheduling overhead (timings).
-
-The scaling benchmark compares the incremental scheduling subsystem
-(persistent attached index + dirty-label rematching) against the legacy
-rebuild-per-step discipline over multiset sizes 10^2–10^5 and writes the
-per-size results to ``benchmarks/reports/BENCH_schedulers.json``.
 """
-
-import time
 
 import pytest
 
-from _report import emit_json, emit_report
+from _report import emit_report
 from repro.analysis import format_table
-from repro.gamma import SequentialEngine, run as run_gamma
-from repro.gamma.stdlib import sum_reduction, values_multiset
+from repro.gamma import run as run_gamma
 from repro.workloads import make_workload
 from repro.api import RuntimeConfig
 
@@ -59,107 +51,3 @@ def test_bench_engines(benchmark, engine, workload_name):
     )
     assert sorted(result.final.values_with_label(workload.label)) == workload.expected_sorted()
 
-
-# -- incremental-vs-rebuild scaling ----------------------------------------------
-
-#: Multiset sizes swept by the scaling benchmark (10^2 .. 10^5).
-SCALING_SIZES = (100, 1_000, 10_000, 100_000)
-#: Step budget for the bounded runs: enough firings for steady-state per-step
-#: cost to dominate, small enough that the O(S*N) legacy mode stays tractable
-#: at 10^5 elements.
-BOUNDED_STEPS = 128
-#: Sizes also run to their stable state (full O(N) firings) in both modes.
-FULL_RUN_SIZES = (100, 1_000)
-
-
-def _timed_run(incremental: bool, size: int, max_steps: int, repeats: int):
-    """Best-of-``repeats`` wall time for a bounded sequential run."""
-    program = sum_reduction()
-    best = None
-    result = None
-    for _ in range(repeats):
-        initial = values_multiset(range(size))  # distinct values: index has N entries
-        engine = SequentialEngine(
-            max_steps=max_steps, raise_on_budget=False, incremental=incremental
-        )
-        start = time.perf_counter()
-        result = engine.run(program, initial)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
-
-
-def test_report_scheduler_scaling():
-    """Persistent-index scheduling vs per-step rebuild, sizes 10^2–10^5.
-
-    The legacy mode reconstructs the matcher's label/tag index from the full
-    multiset every step — O(S*N) in index work alone.  The incremental mode
-    attaches one index per run and re-probes only reactions whose consumed
-    labels changed.  Acceptance: >= 5x on the 10^4 bounded workload.
-    """
-    records = []
-    rows = []
-    speedup_at = {}
-    for size in SCALING_SIZES:
-        steps = min(size - 1, BOUNDED_STEPS)
-        repeats = 2 if size <= 10_000 else 1
-        timings = {}
-        for mode, incremental in (("incremental", True), ("rebuild", False)):
-            seconds, result = _timed_run(incremental, size, steps, repeats)
-            timings[mode] = seconds
-            records.append(
-                {
-                    "workload": "sum_reduction",
-                    "engine": "sequential",
-                    "phase": "bounded",
-                    "mode": mode,
-                    "size": size,
-                    "steps": result.steps,
-                    "stable": result.stable,
-                    "seconds": seconds,
-                    "seconds_per_step": seconds / max(result.steps, 1),
-                }
-            )
-        speedup = timings["rebuild"] / timings["incremental"]
-        speedup_at[size] = speedup
-        rows.append([size, steps, f"{timings['rebuild']*1e3:.2f}",
-                     f"{timings['incremental']*1e3:.2f}", f"{speedup:.1f}x"])
-
-    for size in FULL_RUN_SIZES:
-        timings = {}
-        for mode, incremental in (("incremental", True), ("rebuild", False)):
-            seconds, result = _timed_run(incremental, size, size + 10, repeats=2)
-            assert result.stable
-            timings[mode] = seconds
-            records.append(
-                {
-                    "workload": "sum_reduction",
-                    "engine": "sequential",
-                    "phase": "full",
-                    "mode": mode,
-                    "size": size,
-                    "steps": result.steps,
-                    "stable": True,
-                    "seconds": seconds,
-                    "seconds_per_step": seconds / max(result.steps, 1),
-                }
-            )
-        rows.append([size, size - 1, f"{timings['rebuild']*1e3:.2f}",
-                     f"{timings['incremental']*1e3:.2f}",
-                     f"{timings['rebuild'] / timings['incremental']:.1f}x"])
-
-    emit_report(
-        "E7_scheduler_scaling",
-        format_table(
-            ["size", "steps", "rebuild ms", "incremental ms", "speedup"],
-            rows,
-            title="E7: incremental scheduler vs per-step rebuild (sequential engine)",
-        ),
-    )
-    emit_json(
-        "BENCH_schedulers",
-        experiment="scheduler_scaling",
-        results=records,
-        speedups={str(size): speedup_at[size] for size in SCALING_SIZES},
-    )
-    assert speedup_at[10_000] >= 5.0, f"expected >=5x at 10^4, got {speedup_at[10_000]:.1f}x"

@@ -1,11 +1,9 @@
-"""Sharded runtime benchmark: shard backends vs the legacy simulated loop.
+"""Sharded runtime benchmark: the shard backends side by side.
 
-Compares :class:`~repro.runtime.distributed.DistributedGammaRuntime` backends
-running each workload *to the globally quiescent state* and reporting firing
+Runs :class:`~repro.runtime.distributed.DistributedGammaRuntime` backends on
+each workload *to the globally quiescent state* and reports firing
 throughput (reactions applied per wall second):
 
-* ``legacy`` — the pre-sharding simulation (one firing per worker step,
-  one-element random steals, union-rebuild termination checks): the baseline;
 * ``inprocess`` — the sharded subsystem (compiled per-shard schedulers,
   maximal local supersteps, footprint-routed batched exchanges, two-phase
   quiescence) with shards as objects;
@@ -13,10 +11,10 @@ throughput (reactions applied per wall second):
   (measured at the largest swept size only; process startup dominates small
   sizes).
 
-Acceptance (wired into the CI bench-gate): the in-process sharded backend
-must reach >= 2x the legacy firing throughput on ``min_element`` at 10^4
-elements.  Every timed run is also checked against the sequential compiled
-engine's stable multiset, so the speedup can never come from dropping work.
+Every timed run is checked against the sequential compiled engine's stable
+multiset, and a structural sweep asserts that every backend reaches it, so
+the CI bench-gate compares throughput only between runs that did all the
+work.
 
 Set ``BENCH_FAST=1`` for the CI smoke mode: tiny sizes, same JSON schema.
 """
@@ -36,26 +34,15 @@ from repro.api import RuntimeConfig
 FAST_MODE = os.environ.get("BENCH_FAST", "") not in ("", "0")
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
-#: Sizes swept (the legacy baseline is quadratic-ish in solution size, so the
-#: sweep stops at 10^4 — already ~1s per legacy run).
+#: Sizes swept.
 SIZES = (100, 1_000) if FAST_MODE else (100, 1_000, 10_000)
 #: Workloads swept.
 WORKLOADS = ("min_element", "sum_reduction")
 #: Shard/partition count used for every backend.
 SHARDS = 4
-#: Acceptance: required inprocess/legacy firing-throughput ratio at 10^4.
-ACCEPTANCE_SIZE = 10_000
-ACCEPTANCE_WORKLOAD = "min_element"
-ACCEPTANCE_RATIO = 2.0
 
 #: Workloads for the structural (correctness) sweep across all backends.
 EQUIVALENCE_WORKLOADS = ("min_element", "sum_reduction", "prime_sieve", "gcd")
-
-
-#: Smallest size whose throughput ratio goes into the gated ``speedups`` map:
-#: sub-millisecond runs at 10^2 produce noise-dominated ratios that would
-#: flake the CI gate at sizes the acceptance criterion does not care about.
-SPEEDUP_MIN_SIZE = 1_000
 
 
 def _run_to_quiescence(workload, reference, backend, repeats=3):
@@ -79,17 +66,16 @@ def _run_to_quiescence(workload, reference, backend, repeats=3):
 
 
 def test_report_sharded_runtime_scaling():
-    """Sharded backends vs legacy loop, full runs to global quiescence."""
+    """Sharded backends, full runs to global quiescence."""
     records = []
     rows = []
-    speedups = {}
 
     for name in WORKLOADS:
         for size in SIZES:
             workload = make_workload(name, size=size, seed=7)
             reference = run(workload.program, workload.initial.copy(), config=RuntimeConfig(engine="sequential"))
             throughput = {}
-            backends = ["legacy", "inprocess"]
+            backends = ["inprocess"]
             if size == SIZES[-1] and FORK_AVAILABLE:
                 backends.append("multiprocessing")
             for backend in backends:
@@ -113,17 +99,12 @@ def test_report_sharded_runtime_scaling():
                         "firings_per_second": throughput[backend],
                     }
                 )
-            ratio = throughput["inprocess"] / throughput["legacy"]
-            if size >= SPEEDUP_MIN_SIZE:
-                speedups[f"{name}@{size}"] = ratio
             rows.append(
                 [
                     name,
                     size,
-                    f"{throughput['legacy']:.0f}",
                     f"{throughput['inprocess']:.0f}",
                     f"{throughput.get('multiprocessing', float('nan')):.0f}",
-                    f"{ratio:.1f}x",
                 ]
             )
 
@@ -133,7 +114,7 @@ def test_report_sharded_runtime_scaling():
         workload = make_workload(name, size=32, seed=5)
         reference = run(workload.program, workload.initial.copy(), config=RuntimeConfig(engine="sequential"))
         agreed = True
-        backends = ["legacy", "inprocess"]
+        backends = ["inprocess"]
         if FORK_AVAILABLE:
             backends.append("multiprocessing")
         for backend in backends:
@@ -145,32 +126,19 @@ def test_report_sharded_runtime_scaling():
     emit_report(
         "E13_sharded_runtime",
         format_table(
-            ["workload", "size", "legacy f/s", "inprocess f/s", "mp f/s", "speedup"],
+            ["workload", "size", "inprocess f/s", "mp f/s"],
             rows,
-            title="E13: sharded runtime backends vs legacy simulated loop",
+            title="E13: sharded runtime backends, firings per second",
         ),
     )
     payload_path = emit_json(
         "BENCH_sharded_runtime",
         experiment="sharded_runtime",
         results=records,
-        speedups=speedups,
         equivalent=equivalent,
-        acceptance={
-            "workload": ACCEPTANCE_WORKLOAD,
-            "size": ACCEPTANCE_SIZE,
-            "required_ratio": ACCEPTANCE_RATIO,
-        },
         fast_mode=FAST_MODE,
     )
     assert payload_path.exists()
-
-    key = f"{ACCEPTANCE_WORKLOAD}@{ACCEPTANCE_SIZE}"
-    if key in speedups:  # the acceptance size is not swept in fast mode
-        assert speedups[key] >= ACCEPTANCE_RATIO, (
-            f"expected >={ACCEPTANCE_RATIO}x at {ACCEPTANCE_SIZE}, "
-            f"got {speedups[key]:.1f}x"
-        )
 
 
 def test_json_schema_is_stable():
@@ -187,4 +155,4 @@ def test_json_schema_is_stable():
     assert {"workload", "backend", "size", "shards", "firings_per_second"} <= set(
         payload["results"][0]
     )
-    assert "speedups" in payload and "equivalent" in payload
+    assert "equivalent" in payload

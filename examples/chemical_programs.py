@@ -3,8 +3,8 @@
 Shows the Gamma model as a programming model in its own right: the classic
 multiset-rewriting programs (minimum, sieve of Eratosthenes, exchange sort,
 gcd), the Eq. 2 listing parsed from the paper's own syntax, sequential (`;`)
-and parallel (`|`) composition, and execution on the simulated parallel and
-distributed (IoT-style) runtimes.
+and parallel (`|`) composition, and execution on the simulated parallel
+runtime and the sharded distributed (IoT-style) runtime.
 
 Run with::
 

@@ -3,9 +3,7 @@
 Runs one Gamma workload (``min_element``) through every distributed backend of
 :class:`repro.runtime.DistributedGammaRuntime`:
 
-* ``legacy`` — the original step-synchronous simulation (one firing per
-  worker step, one-element random steals, union-rebuild termination checks);
-* ``inprocess`` — the sharded subsystem: per-shard compiled schedulers firing
+* ``inprocess`` (the default) — the sharded subsystem: per-shard compiled schedulers firing
   maximal local supersteps, footprint-routed batched exchanges, work
   stealing, two-phase quiescence detection;
 * ``multiprocessing`` — the same protocol with shard workers as OS processes
@@ -55,7 +53,7 @@ def main() -> None:
     print(f"  wildcard program: {table.wildcard}\n")
 
     # 2. Run every backend and compare against the sequential stable state.
-    backends = ["legacy", "inprocess"]
+    backends = ["inprocess"]
     if "fork" in multiprocessing.get_all_start_methods():
         backends.append("multiprocessing")
     rows = []

@@ -3,9 +3,10 @@
 The sharded runtime's scaling story has two failure modes the paper's E9(d)
 experiment cares about: *skew* (one shard carries the work while the others
 idle) and *communication* (migrations/messages swamp useful firings).  This
-module turns a :class:`~repro.runtime.distributed.DistributedRunResult` —
-legacy or sharded — into the two corresponding scalar reports, so partition
-sweeps can be compared across backends and sizes.
+module turns a :class:`~repro.runtime.distributed.DistributedRunResult` (or
+its :class:`~repro.runtime.sharding.ShardedRunResult` subclass) into the two
+corresponding scalar reports, so partition sweeps can be compared across
+backends and sizes.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ class ShardLoadReport:
     """Summary of one distributed run's load and communication profile.
 
     ``scale_events`` and ``group_migrations`` report what the elasticity
-    layer did during the run (always 0 for legacy results and for sharded
-    runs without an :class:`~repro.runtime.elasticity.ElasticityPolicy`).
+    layer did during the run (always 0 for a plain
+    :class:`~repro.runtime.distributed.DistributedRunResult` and for runs
+    without an :class:`~repro.runtime.elasticity.ElasticityPolicy`).
     ``injected`` and ``wire_bytes`` report the ingest-path copies and the
     network transport's socket traffic (both 0 off the network backend).
     """

@@ -230,24 +230,11 @@ class RuntimeConfig:
 
     def _validate_distributed(self) -> None:
         """Distributed-surface rules (mirrors ``DistributedGammaRuntime``)."""
-        from .runtime.distributed import DistributedGammaRuntime
         from .runtime.sharding.coordinator import SHARD_BACKENDS
 
-        backend = self.backend if self.backend is not None else "legacy"
-        if backend not in DistributedGammaRuntime.BACKENDS:
+        if self.backend is not None and self.backend not in SHARD_BACKENDS:
             raise ValueError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{DistributedGammaRuntime.BACKENDS}"
-            )
-        if self.recovery is not None and backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"recovery requires a sharded backend {SHARD_BACKENDS}, "
-                f"got {backend!r}"
-            )
-        if self.elasticity is not None and backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"elasticity requires a sharded backend {SHARD_BACKENDS}, "
-                f"got {backend!r}"
+                f"unknown backend {self.backend!r}; expected one of {SHARD_BACKENDS}"
             )
         if self.checkpoint_interval is not None and self.recovery is None:
             raise ValueError("checkpoint_interval requires a RecoveryManager")

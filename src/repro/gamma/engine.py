@@ -46,16 +46,7 @@ Reactions are additionally *compiled* before the run starts
 guards/productions, and the validation-free ``rewrite_unchecked`` firing
 path.  ``compiled=False`` selects the interpreted matcher/guard baseline
 (bit-identical seeded traces on every identity-plan reaction set, which
-includes all paper workloads); ``incremental=False`` additionally falls back
-to the legacy rebuild-per-step discipline, which reproduces the pre-scheduler
-engines exactly; the scaling benchmarks use both as baselines.  The sequential
-engine's firing sequence is identical in both modes.  For the seeded
-nondeterministic engines the two modes draw from the same RNG stream until a
-dead reaction is first parked; past that point they may explore *different
-valid schedules* of the same program (parking skips probes that would have
-consumed RNG draws), so equality of their final multisets is guaranteed only
-for confluent programs — which is what the cross-engine property tests
-assert on the paper workloads.
+includes all paper workloads).
 
 Every engine enforces a ``max_steps`` budget.  By default a diverging program
 (or a conversion bug) raises :class:`NonTerminationError` instead of hanging;
@@ -145,7 +136,6 @@ class GammaEngine:
         self,
         max_steps: int = DEFAULT_MAX_STEPS,
         raise_on_budget: bool = True,
-        incremental: bool = True,
         compiled: bool = True,
         columnar: bool = False,
     ) -> None:
@@ -153,7 +143,6 @@ class GammaEngine:
             raise ValueError("max_steps must be positive")
         self.max_steps = max_steps
         self.raise_on_budget = raise_on_budget
-        self.incremental = incremental
         self.compiled = compiled
         # Columnar mode (see repro.gamma.vectorized): results and traces are
         # identical with and without it — engines opt into vectorized probe
@@ -239,7 +228,6 @@ class GammaEngine:
             program.reactions,
             multiset,
             rng=self._rng,
-            incremental=self.incremental,
             compiled=self.compiled,
             columnar=self.columnar,
         )
@@ -382,14 +370,12 @@ class ChaoticEngine(GammaEngine):
         seed: Optional[int] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         raise_on_budget: bool = True,
-        incremental: bool = True,
         compiled: bool = True,
         columnar: bool = False,
     ) -> None:
         super().__init__(
             max_steps=max_steps,
             raise_on_budget=raise_on_budget,
-            incremental=incremental,
             compiled=compiled,
             columnar=columnar,
         )
@@ -417,14 +403,12 @@ class MaxParallelEngine(GammaEngine):
         seed: Optional[int] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         raise_on_budget: bool = True,
-        incremental: bool = True,
         compiled: bool = True,
         columnar: bool = False,
     ) -> None:
         super().__init__(
             max_steps=max_steps,
             raise_on_budget=raise_on_budget,
-            incremental=incremental,
             compiled=compiled,
             columnar=columnar,
         )
@@ -483,14 +467,12 @@ class ParallelEngine(GammaEngine):
         max_batch: Optional[int] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         raise_on_budget: bool = True,
-        incremental: bool = True,
         compiled: bool = True,
         columnar: bool = False,
     ) -> None:
         super().__init__(
             max_steps=max_steps,
             raise_on_budget=raise_on_budget,
-            incremental=incremental,
             compiled=compiled,
             columnar=columnar,
         )

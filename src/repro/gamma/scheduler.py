@@ -1,8 +1,8 @@
 """Incremental reaction scheduling: persistent indexes + dirty-label rematching.
 
-Every pre-scheduler engine step rebuilt a :class:`~repro.gamma.matching.Matcher`
-(and its :class:`~repro.multiset.index.LabelTagIndex`) from the full multiset,
-making a run of S steps over an N-element solution O(S·N) in index
+Rebuilding a :class:`~repro.gamma.matching.Matcher` (and its
+:class:`~repro.multiset.index.LabelTagIndex`) from the full multiset on every
+step makes a run of S steps over an N-element solution O(S·N) in index
 construction alone.  Real chemical-machine implementations — the Connection
 Machine / GPU lineage the paper cites — keep a persistent reaction/species
 index and only re-examine reactions whose reactant pools changed.  This module
@@ -30,14 +30,6 @@ unchanged and a previously dead reaction is still dead.
 With ``compiled=True`` (default) each reaction is specialized once through
 :mod:`repro.gamma.compiled` and probes run the generated slot-based matchers;
 ``compiled=False`` probes through the interpreted :class:`Matcher` search.
-``incremental=False`` selects the legacy discipline — full index rebuild and
-full reaction sweep every step — kept as the benchmark baseline; it
-reproduces the pre-scheduler engines exactly.  With ``incremental=True`` the
-deterministic (unseeded) probe order is unchanged, while seeded schedulers
-stay on the legacy RNG stream only until a dead reaction is first parked;
-afterwards they may follow a different valid schedule, so seeded
-incremental-vs-legacy runs agree on final multisets for confluent programs
-(the property tests pin this) but not necessarily for non-confluent ones.
 """
 
 from __future__ import annotations
@@ -105,14 +97,12 @@ class ReactionScheduler:
         reactions: Sequence[Reaction],
         multiset: Multiset,
         rng: Optional[random.Random] = None,
-        incremental: bool = True,
         compiled: bool = True,
         columnar: bool = False,
     ) -> None:
         self.reactions: Tuple[Reaction, ...] = tuple(reactions)
         self.multiset = multiset
         self.rng = rng
-        self.incremental = incremental
         self.compiled = compiled
         self.columnar = columnar
         self.columnar_store: Optional[ColumnarStore] = None
@@ -166,17 +156,7 @@ class ReactionScheduler:
 
     # -- worklist maintenance --------------------------------------------------------
     def refresh(self) -> None:
-        """Re-arm reactions affected by mutations since the last probe round.
-
-        In legacy (non-incremental) mode this instead rebuilds the index from
-        scratch and re-arms everything, reproducing the pre-scheduler cost
-        model and probe order exactly.
-        """
-        if not self.incremental:
-            self.index.rebuild(self.multiset)
-            self._parked.clear()
-            self._dirty.clear()
-            return
+        """Re-arm reactions affected by mutations since the last probe round."""
         if not self._dirty:
             return
         if self._parked:
@@ -214,9 +194,8 @@ class ReactionScheduler:
             return self._det_order
         if self.rng is None:
             raise ValueError("shuffled probing requires a scheduler rng")
-        # Shuffle the full list (not just the active one) so the RNG
-        # stream matches the pre-scheduler engines whenever nothing is
-        # parked mid-run.
+        # Shuffle the full list (not just the active one), so the draws a
+        # probe round takes do not depend on which reactions are parked.
         order = list(self._det_order)
         self.rng.shuffle(order)
         return order

@@ -777,7 +777,7 @@ class ColumnarKernel:
     """Whole-drain columnar core for the sequential engine.
 
     Built against a live :class:`~repro.gamma.scheduler.ReactionScheduler`
-    (deterministic, incremental, compiled); mirrors the multiset into a
+    (deterministic, compiled); mirrors the multiset into a
     detached :class:`ColumnarStore`, runs the first-match/fire loop against
     the columns, and on every exit path — stable, budget, bail, or a raising
     production — writes the exact object state back and re-arms the
@@ -796,7 +796,7 @@ class ColumnarKernel:
     def build(cls, scheduler: "Any") -> Optional["ColumnarKernel"]:
         """A kernel for ``scheduler``'s run, or ``None`` outside the fragment.
 
-        Requires a deterministic (unseeded), incremental scheduler carrying
+        Requires a deterministic (unseeded) scheduler carrying
         an attached columnar store (``columnar=True``); every reaction must
         lower to a mask program and every footprint bucket must be
         int-shaped.  The kernel drives the scheduler's own attached store —
@@ -806,7 +806,7 @@ class ColumnarKernel:
         stays on the object drain.
         """
         store = scheduler.columnar_store
-        if store is None or scheduler.rng is not None or not scheduler.incremental:
+        if store is None or scheduler.rng is not None:
             return None
         vecs: List[VectorizedReaction] = []
         for compiled in scheduler._compiled:

@@ -8,9 +8,8 @@ the canonical ``(value, label, tag)`` triple — never on the builtin,
 per-process-salted ``hash()``.
 
 This module holds the placement function and the batched partitioning
-helpers shared by :class:`~repro.runtime.distributed.DistributedMultiset`
-(the legacy simulated runtime) and the shard coordinator (the real one), so
-the two agree on where every element lives.
+helpers the shard coordinator loads and routes with, so every backend agrees
+on where every element lives.
 """
 
 from __future__ import annotations

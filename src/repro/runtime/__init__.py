@@ -3,8 +3,8 @@
 * :class:`DataflowSimulator` — step-synchronous multi-PE execution of dataflow graphs,
 * :class:`GammaSimulator` — step-synchronous PE-bounded parallel Gamma execution,
 * :class:`DistributedGammaRuntime` — partitioned distributed multiset execution
-  (legacy simulated loop, or the sharded subsystem via
-  ``backend="inprocess"``/``"multiprocessing"``/``"network"``),
+  on the sharded subsystem (``backend="inprocess"`` (default) /
+  ``"multiprocessing"`` / ``"network"``),
 * :class:`ShardCoordinator` — direct access to the sharded protocol
   (:mod:`repro.runtime.sharding`),
 * :class:`StreamingGammaRuntime` — online execution: continuous element
@@ -21,7 +21,7 @@
 """
 
 from .df_simulator import DataflowSimulationResult, DataflowSimulator, simulate_graph
-from .distributed import DistributedGammaRuntime, DistributedMultiset, DistributedRunResult
+from .distributed import DistributedGammaRuntime, DistributedRunResult
 from .elasticity import ElasticityDecision, ElasticityPlan, ElasticityPolicy
 from .faults import FaultEvent, FaultInjector, FaultSchedule, install_faults
 from .gamma_simulator import GammaSimulationResult, GammaSimulator, simulate_program
@@ -56,7 +56,7 @@ from .streaming import (
 __all__ = [
     "DataflowSimulator", "DataflowSimulationResult", "simulate_graph",
     "GammaSimulator", "GammaSimulationResult", "simulate_program",
-    "DistributedGammaRuntime", "DistributedMultiset", "DistributedRunResult",
+    "DistributedGammaRuntime", "DistributedRunResult",
     "ShardCoordinator", "ShardedRunResult",
     "StreamingGammaRuntime", "StreamRunResult", "EpochReport", "IngestQueue",
     "ElasticityPolicy", "ElasticityPlan", "ElasticityDecision",

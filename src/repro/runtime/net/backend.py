@@ -93,7 +93,6 @@ class NetworkBackend:
         routing: RoutingTable,
         seed: Optional[int] = None,
         compiled: bool = True,
-        superstep: bool = True,
     ) -> None:
         """Spawn ``num_shards`` shard servers and complete their handshakes.
 
@@ -124,7 +123,6 @@ class NetworkBackend:
             "num_shards": num_shards,
             "seed": seed,
             "compiled": compiled,
-            "superstep": superstep,
             "reactions": tuple(reactions),
         }
         self._timeout = _reply_timeout()

@@ -15,7 +15,7 @@ Wire protocol (control plane → shard server, strict request/reply order)::
                                                  token — a missing or wrong
                                                  token closes the connection
                                                  without a reply
-    ("hello", {shard, num_shards, seed, compiled, superstep, reactions})
+    ("hello", {shard, num_shards, seed, compiled, reactions})
         -> ("welcome", {"shard": shard})         membership handshake; the
                                                  server builds its worker and
                                                  routing table from this frame
@@ -86,7 +86,6 @@ def _build_worker(config: dict) -> Tuple[ShardWorker, RoutingTable]:
         reactions,
         seed=config["seed"],
         compiled=config["compiled"],
-        superstep=config["superstep"],
     )
     routing = RoutingTable(reactions, config["num_shards"])
     return worker, routing
@@ -137,7 +136,6 @@ async def handle_shard_connection(
             return True
         worker, routing = _build_worker(config)
         shard = worker.shard
-        reactions = tuple(config["reactions"])
         await write_frame(writer, ("welcome", {"shard": shard}))
         while True:
             try:
@@ -185,13 +183,7 @@ async def handle_shard_connection(
                 # Checkpoint restore: rebuild the worker from scratch and
                 # ingest the checkpoint batch, mirroring the queue protocol.
                 worker.close()
-                worker = ShardWorker(
-                    shard,
-                    reactions,
-                    seed=config["seed"],
-                    compiled=config["compiled"],
-                    superstep=config["superstep"],
-                )
+                worker, _ = _build_worker(config)
                 worker.ingest(from_column_batch(payload))
                 await write_frame(writer, ("reset_ok", shard))
             elif command == "sleep":

@@ -1,8 +1,7 @@
 """Sharded distributed execution of Gamma programs.
 
-This package replaces the simulated distributed loop of
-:mod:`repro.runtime.distributed` with a real sharded execution subsystem
-built on the compiled scheduling stack (PRs 1–3):
+The execution subsystem behind :mod:`repro.runtime.distributed`, built on
+the compiled scheduling stack:
 
 * :class:`ShardWorker` — one shard: a local partition of the multiset driven
   by its own compiled :class:`~repro.gamma.scheduler.ReactionScheduler`,
@@ -18,10 +17,12 @@ built on the compiled scheduling stack (PRs 1–3):
 * :class:`ShardCoordinator` — the superstep-barrier protocol tying the above
   together: local superstep rounds, work-stealing rebalancing driven by
   per-shard load, exchange rounds, termination;
-* two interchangeable backends — :class:`InProcessBackend` (shards as
-  objects, deterministic traces for differential testing) and
+* three interchangeable backends — :class:`InProcessBackend` (shards as
+  objects, deterministic traces for differential testing),
   :class:`MultiprocessingBackend` (shard workers as OS processes exchanging
-  pickled element batches over queues).
+  element batches over queues) and
+  :class:`~repro.runtime.net.NetworkBackend` (shard servers behind framed
+  loopback sockets).
 
 Fault tolerance: attach a :class:`~repro.runtime.recovery.RecoveryManager`
 (``ShardCoordinator(..., recovery=...)``) and worker death becomes a
@@ -30,7 +31,7 @@ a fatal error — see :mod:`repro.runtime.recovery` and the seeded
 fault-injection harness in :mod:`repro.runtime.faults`.
 
 Entry points: :class:`ShardCoordinator` directly, or
-``DistributedGammaRuntime(..., backend="inprocess"|"multiprocessing")``.
+``DistributedGammaRuntime(..., config=RuntimeConfig(backend=...))``.
 """
 
 from .coordinator import ShardCoordinator, ShardedRunResult, ShardSession

@@ -53,8 +53,8 @@ from .routing import RoutingTable, Transfer
 
 __all__ = ["ShardCoordinator", "ShardSession", "ShardedRunResult", "SHARD_BACKENDS"]
 
-#: Backend names accepted by :class:`ShardCoordinator` (and, with
-#: ``"legacy"``, by :class:`~repro.runtime.distributed.DistributedGammaRuntime`).
+#: Backend names accepted by :class:`ShardCoordinator` and by
+#: :class:`~repro.runtime.distributed.DistributedGammaRuntime`.
 SHARD_BACKENDS = ("inprocess", "multiprocessing", "network")
 
 _BACKENDS = {
@@ -135,9 +135,6 @@ class ShardCoordinator:
         opportunities).
     compiled:
         Compiled schedulers (default) or the interpreted baseline.
-    superstep:
-        ``True`` fires local supersteps through the compiled collectors;
-        ``False`` fires one match at a time per shard round.
     work_stealing:
         Enable load-driven rebalancing of starving shards (default on).
     steal_threshold:
@@ -173,7 +170,6 @@ class ShardCoordinator:
         superstep_budget: Optional[int] = None,
         round_supersteps: Optional[int] = 1,
         compiled: bool = True,
-        superstep: bool = True,
         work_stealing: bool = True,
         steal_threshold: float = 2.0,
         recovery: Optional[RecoveryManager] = None,
@@ -188,6 +184,10 @@ class ShardCoordinator:
             )
         if max_rounds <= 0 or max_supersteps <= 0:
             raise ValueError("round/superstep budgets must be positive")
+        if superstep_budget is not None and superstep_budget <= 0:
+            raise ValueError(
+                "superstep_budget must be positive (or None for maximal batches)"
+            )
         if round_supersteps is not None and round_supersteps <= 0:
             raise ValueError("round_supersteps must be positive (or None)")
         if steal_threshold < 1.0:
@@ -206,7 +206,6 @@ class ShardCoordinator:
         self.superstep_budget = superstep_budget
         self.round_supersteps = round_supersteps
         self.compiled = compiled
-        self.superstep = superstep
         self.work_stealing = work_stealing
         self.steal_threshold = steal_threshold
         self.recovery = recovery
@@ -254,7 +253,6 @@ class ShardCoordinator:
             self.routing,
             seed=self.seed,
             compiled=self.compiled,
-            superstep=self.superstep,
         )
         if self.recovery is not None:
             backend.supervised = True

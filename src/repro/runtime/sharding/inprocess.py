@@ -43,12 +43,11 @@ class InProcessBackend:
         routing: RoutingTable,
         seed: Optional[int] = None,
         compiled: bool = True,
-        superstep: bool = True,
     ) -> None:
         """Create (but do not load) ``num_shards`` local shard workers."""
         self.routing = routing
         self.num_shards = num_shards
-        self._worker_args = (tuple(reactions), seed, compiled, superstep)
+        self._worker_args = (tuple(reactions), seed, compiled)
         self.supervised = False
         self.workers: List[ShardWorker] = [
             self._fresh_worker(shard) for shard in range(num_shards)
@@ -56,10 +55,8 @@ class InProcessBackend:
 
     def _fresh_worker(self, shard: int) -> ShardWorker:
         """Build a brand-new (empty) worker for ``shard``."""
-        reactions, seed, compiled, superstep = self._worker_args
-        return ShardWorker(
-            shard, reactions, seed=seed, compiled=compiled, superstep=superstep
-        )
+        reactions, seed, compiled = self._worker_args
+        return ShardWorker(shard, reactions, seed=seed, compiled=compiled)
 
     # -- protocol ----------------------------------------------------------------
     def load(self, partitions: Sequence[Sequence[Tuple[Element, int]]]) -> None:

@@ -76,7 +76,6 @@ def _shard_worker_main(
     num_shards: int,
     seed: Optional[int],
     compiled: bool,
-    superstep: bool,
     commands: "multiprocessing.Queue",
     replies: "multiprocessing.Queue",
 ) -> None:
@@ -87,9 +86,7 @@ def _shard_worker_main(
     coordinator fails loudly instead of deadlocking on a silent worker death.
     """
     try:
-        worker = ShardWorker(
-            shard, reactions, seed=seed, compiled=compiled, superstep=superstep
-        )
+        worker = ShardWorker(shard, reactions, seed=seed, compiled=compiled)
         routing = RoutingTable(reactions, num_shards)
         while True:
             command, payload = commands.get()
@@ -131,10 +128,7 @@ def _shard_worker_main(
                 # reply kind lets the coordinator drain stale replies from an
                 # aborted round off this queue until the acknowledgement.
                 worker.close()
-                worker = ShardWorker(
-                    shard, reactions, seed=seed, compiled=compiled,
-                    superstep=superstep,
-                )
+                worker = ShardWorker(shard, reactions, seed=seed, compiled=compiled)
                 worker.ingest(from_column_batch(payload))
                 replies.put(("reset_ok", shard))
             elif command == "sleep":
@@ -161,7 +155,6 @@ class MultiprocessingBackend:
         routing: RoutingTable,
         seed: Optional[int] = None,
         compiled: bool = True,
-        superstep: bool = True,
     ) -> None:
         """Spawn ``num_shards`` worker processes (not yet loaded).
 
@@ -174,7 +167,7 @@ class MultiprocessingBackend:
         self._context = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        self._worker_args = (tuple(reactions), num_shards, seed, compiled, superstep)
+        self._worker_args = (tuple(reactions), num_shards, seed, compiled)
         self._commands: List[Any] = [None] * num_shards
         self._replies: List[Any] = [None] * num_shards
         self._processes: List[Any] = [None] * num_shards
@@ -188,7 +181,7 @@ class MultiprocessingBackend:
     # -- plumbing ----------------------------------------------------------------
     def _spawn(self, shard: int) -> None:
         """(Re)create shard ``shard``'s queues and worker process."""
-        reactions, num_shards, seed, compiled, superstep = self._worker_args
+        reactions, num_shards, seed, compiled = self._worker_args
         self._commands[shard] = self._context.Queue()
         self._replies[shard] = self._context.Queue()
         self._processes[shard] = self._context.Process(
@@ -199,7 +192,6 @@ class MultiprocessingBackend:
                 num_shards,
                 seed,
                 compiled,
-                superstep,
                 self._commands[shard],
                 self._replies[shard],
             ),
@@ -404,8 +396,8 @@ class MultiprocessingBackend:
         routing for routability checks, which are home-independent.
         """
         self.respawn(self.dead_shards())
-        reactions, _, seed, compiled, superstep = self._worker_args
-        self._worker_args = (reactions, num_shards, seed, compiled, superstep)
+        reactions, _, seed, compiled = self._worker_args
+        self._worker_args = (reactions, num_shards, seed, compiled)
         if num_shards > self.num_shards:
             for shard in range(self.num_shards, num_shards):
                 self._commands.append(None)

@@ -84,10 +84,6 @@ class ShardWorker:
     compiled:
         Forwarded to the scheduler: compiled slot-matchers (default) or the
         interpreted baseline.
-    superstep:
-        ``True`` (default) fires maximal local supersteps through the
-        compiled collectors and the batched rewrite; ``False`` fires one
-        match at a time (the legacy-style local loop, kept for comparison).
     """
 
     def __init__(
@@ -96,11 +92,9 @@ class ShardWorker:
         reactions: Sequence[Reaction],
         seed: Optional[int] = None,
         compiled: bool = True,
-        superstep: bool = True,
     ) -> None:
         self.shard = shard
         self.compiled = compiled
-        self.superstep = superstep
         self.multiset = Multiset()
         local_seed = derive_shard_seed(seed, shard)
         rng = random.Random(local_seed) if local_seed is not None else None
@@ -127,36 +121,21 @@ class ShardWorker:
         to the local fixpoint); ``budget`` caps the firings per superstep
         (``None`` extracts maximal batches).  Returns the round's
         :class:`LocalReport`, whose ``fired`` counts firings — a match of
-        multiplicity ``k`` counts ``k``.  In single-firing mode
-        (``superstep=False``) each "superstep" is one firing.
+        multiplicity ``k`` counts ``k``.
         """
         fired = 0
         steps = 0
         stable = False
         multiset = self.multiset
         scheduler = self.scheduler
-        if self.superstep:
-            while max_supersteps is None or steps < max_supersteps:
-                scheduler.refresh()
-                matches = scheduler.collect_superstep_matches(budget=budget)
-                if not matches:
-                    stable = True
-                    break
-                fired += fire_batch(multiset, matches, validate=not self.compiled)
-                steps += 1
-        else:
-            apply_rewrite = (
-                multiset.rewrite_unchecked if self.compiled else multiset.replace
-            )
-            while max_supersteps is None or steps < max_supersteps:
-                scheduler.refresh()
-                match = scheduler.find_first(shuffled=scheduler.rng is not None)
-                if match is None:
-                    stable = True
-                    break
-                apply_rewrite(match.consumed, match.produced())
-                fired += 1
-                steps += 1
+        while max_supersteps is None or steps < max_supersteps:
+            scheduler.refresh()
+            matches = scheduler.collect_superstep_matches(budget=budget)
+            if not matches:
+                stable = True
+                break
+            fired += fire_batch(multiset, matches, validate=not self.compiled)
+            steps += 1
         self.firings += fired
         self.supersteps += steps
         return LocalReport(

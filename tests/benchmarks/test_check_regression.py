@@ -157,15 +157,15 @@ class TestShardedRuntimeRecordShape:
 
     def test_backend_and_shards_key_the_identity(self):
         base = payload(
-            [sharded_record("legacy", 100, 1000.0), sharded_record("inprocess", 100, 5000.0)]
+            [sharded_record("multiprocessing", 100, 1000.0), sharded_record("inprocess", 100, 5000.0)]
         )
         fresh = payload(
-            [sharded_record("legacy", 100, 990.0), sharded_record("inprocess", 100, 4900.0)]
+            [sharded_record("multiprocessing", 100, 990.0), sharded_record("inprocess", 100, 4900.0)]
         )
         findings = check_regression.compare_payloads("BENCH_sharded_runtime", base, fresh, 0.25)
         assert len(findings) == 2
         assert {f.key for f in findings} == {
-            "workload=min_element, mode=distributed, backend=legacy, size=100, shards=4",
+            "workload=min_element, mode=distributed, backend=multiprocessing, size=100, shards=4",
             "workload=min_element, mode=distributed, backend=inprocess, size=100, shards=4",
         }
         assert not any(f.regressed for f in findings)

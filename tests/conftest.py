@@ -27,9 +27,6 @@ FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 #: The single-process scheduling-policy engines accepted by ``run(engine=...)``.
 ENGINE_NAMES = ("sequential", "chaotic", "max-parallel")
 
-#: Distributed backends accepted by ``DistributedGammaRuntime(backend=...)``.
-DISTRIBUTED_BACKENDS = ("legacy", "inprocess", "multiprocessing")
-
 
 @pytest.fixture(params=ENGINE_NAMES)
 def engine_name(request):
@@ -39,7 +36,6 @@ def engine_name(request):
 
 @pytest.fixture(
     params=[
-        "legacy",
         "inprocess",
         pytest.param(
             "multiprocessing",

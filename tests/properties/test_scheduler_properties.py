@@ -6,14 +6,13 @@ Two families of properties back the persistent-index refactor:
   change notifications, must stay equal to a from-scratch rebuild after any
   sequence of ``add``/``remove``/``replace`` operations — including the bucket
   *ordering*, which the seeded schedulers depend on;
-* all three engines (and the legacy rebuild-per-step mode, i.e. the
-  pre-refactor discipline) must reach the same stable observables on the
-  paper's confluent workloads across many seeds.
+* all three engines must reach the same stable observables on the paper's
+  confluent workloads across many seeds.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.gamma import ChaoticEngine, MaxParallelEngine, SequentialEngine, run
+from repro.gamma import run
 from repro.multiset import Element, LabelTagIndex, Multiset
 from repro.workloads import make_workload
 
@@ -119,38 +118,3 @@ class TestCrossEngineObservableEquivalence:
         assert len(finals) == 1, f"{workload_name}: schedulers disagree"
         (final,) = finals
         assert sorted(final.values_with_label(workload.label)) == workload.expected_sorted()
-
-    @pytest.mark.parametrize("workload_name", WORKLOADS)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_incremental_equals_pre_refactor_engines(self, workload_name, seed):
-        """The scheduler path reproduces the legacy rebuild-per-step engines.
-
-        ``incremental=False`` is the pre-refactor discipline (fresh index and
-        full reaction sweep every step), so seeded equality of the final
-        multisets on these confluent workloads pins observable equivalence
-        with the seed engines.  (For non-confluent programs the seeded modes
-        may legitimately diverge once parking skips an RNG-consuming probe.)
-        """
-        workload = make_workload(workload_name, size=14, seed=seed)
-        for cls, kwargs in (
-            (SequentialEngine, {}),
-            (ChaoticEngine, {"seed": seed}),
-            (MaxParallelEngine, {"seed": seed}),
-        ):
-            fast = cls(incremental=True, **kwargs).run(workload.program, workload.initial)
-            legacy = cls(incremental=False, **kwargs).run(workload.program, workload.initial)
-            assert fast.final == legacy.final
-            assert fast.firings == legacy.firings
-
-    def test_sequential_trace_is_bit_identical_to_legacy(self):
-        # The deterministic engine must not merely agree on observables: the
-        # whole firing sequence is unchanged by the incremental scheduler.
-        workload = make_workload("exchange_sort", size=12, seed=3)
-        fast = SequentialEngine(incremental=True).run(workload.program, workload.initial)
-        legacy = SequentialEngine(incremental=False).run(workload.program, workload.initial)
-        assert [f.consumed for f in fast.trace.firings()] == [
-            f.consumed for f in legacy.trace.firings()
-        ]
-        assert [f.reaction for f in fast.trace.firings()] == [
-            f.reaction for f in legacy.trace.firings()
-        ]

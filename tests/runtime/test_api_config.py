@@ -223,8 +223,6 @@ class TestValidationMatrix:
 
     def test_elasticity_requires_sharded_backend(self):
         policy = ElasticityPolicy()
-        with pytest.raises(ValueError, match="elasticity requires a sharded backend"):
-            RuntimeConfig(backend="legacy", elasticity=policy).validate("distributed")
         with pytest.raises(
             ValueError, match="no shards to rebalance"
         ):
@@ -341,11 +339,8 @@ class TestLegacyShims:
 class TestDistributedRngRegression:
     """Consecutive ``run()`` calls on one runtime must not diverge (PR 8 fix)."""
 
-    @pytest.mark.parametrize("backend", ["legacy", "inprocess"])
-    def test_consecutive_runs_identical_with_fixed_seed(
-        self, backend, program, initial
-    ):
-        cfg = RuntimeConfig(backend=backend, shards=2, seed=17)
+    def test_consecutive_runs_identical_with_fixed_seed(self, program, initial):
+        cfg = RuntimeConfig(backend="inprocess", shards=2, seed=17)
         runtime = DistributedGammaRuntime(program, config=cfg)
         first = runtime.run(initial)
         second = runtime.run(initial)
@@ -356,7 +351,7 @@ class TestDistributedRngRegression:
 
     def test_consecutive_runs_identical_via_legacy_kwargs(self, program, initial):
         with pytest.warns(DeprecationWarning):
-            runtime = DistributedGammaRuntime(program, 2, seed=17, backend="legacy")
+            runtime = DistributedGammaRuntime(program, 2, seed=17, backend="inprocess")
         first = runtime.run(initial)
         second = runtime.run(initial)
         assert first.final.counts() == second.final.counts()
@@ -379,7 +374,6 @@ class TestEveryModeReachableViaConfig:
             RuntimeConfig(parallel=2, seed=0),
             RuntimeConfig(engine="sequential", compiled=False),
             RuntimeConfig(engine="sequential", columnar=True),
-            RuntimeConfig(backend="legacy", shards=2, seed=0),
             RuntimeConfig(backend="inprocess", shards=2, seed=0),
             RuntimeConfig(
                 backend="inprocess", shards=2, recovery=RecoveryManager(),
@@ -392,7 +386,7 @@ class TestEveryModeReachableViaConfig:
         ],
         ids=[
             "sequential", "chaotic", "max-parallel", "parallel", "parallel-workers",
-            "interpreted", "columnar", "legacy-partitions", "sharded",
+            "interpreted", "columnar", "sharded",
             "sharded-recovery", "sharded-elastic",
         ],
     )

@@ -1,4 +1,4 @@
-"""Tests for the simulated distributed (IoT-style) multiset runtime."""
+"""Tests for the distributed (IoT-style) multiset runtime front door."""
 
 import os
 import subprocess
@@ -9,53 +9,24 @@ import pytest
 
 from repro.gamma import run
 from repro.gamma.stdlib import min_element, prime_sieve, sum_reduction, values_multiset
-from repro.multiset import Element, Multiset
+from repro.multiset import Element, Multiset, home_of
 from repro.runtime import (
     DistributedGammaRuntime,
-    DistributedMultiset,
     DistributedRunResult,
+    RecoveryManager,
+    ShardedRunResult,
 )
+from repro.runtime.sharding.coordinator import SHARD_BACKENDS
 from repro.api import RuntimeConfig
-
-
-class TestDistributedMultiset:
-    def test_partitioning_and_union(self):
-        dm = DistributedMultiset(4)
-        elements = [Element(i, "x", 0) for i in range(20)]
-        dm.add_all(elements)
-        assert len(dm) == 20
-        assert sum(dm.sizes()) == 20
-        assert sorted(dm.union().values_with_label("x")) == list(range(20))
-
-    def test_home_placement_is_deterministic(self):
-        dm = DistributedMultiset(4)
-        e = Element(7, "x", 0)
-        assert dm.home_of(e) == dm.home_of(e)
-        assert dm.add(e) == dm.home_of(e)
-
-    def test_migrate(self):
-        dm = DistributedMultiset(2)
-        e = Element(1, "x", 0)
-        home = dm.add(e)
-        other = 1 - home
-        dm.migrate(e, home, other)
-        assert dm.sizes()[other] == 1
-        assert dm.sizes()[home] == 0
-
-    def test_invalid_partition_count(self):
-        with pytest.raises(ValueError):
-            DistributedMultiset(0)
 
 
 _PLACEMENT_SCRIPT = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.multiset import Element
-from repro.runtime import DistributedMultiset
+from repro.multiset import Element, home_of
 
-dm = DistributedMultiset(5)
 homes = [
-    dm.home_of(Element(value, label, tag))
+    home_of(Element(value, label, tag), 5)
     for value in (0, 1, -3, 7, "s", True, 2.5)
     for label in ("x", "B13", "")
     for tag in (0, 1, 9)
@@ -66,9 +37,8 @@ print(",".join(map(str, homes)))
 
 class TestStablePlacement:
     def test_home_of_uses_stable_hash(self):
-        dm = DistributedMultiset(4)
         e = Element(7, "x", 2)
-        assert dm.home_of(e) == e.stable_hash() % 4
+        assert home_of(e, 4) == e.stable_hash() % 4
 
     def test_stable_hash_distinguishes_fields(self):
         assert Element(1, "x", 0).stable_hash() != Element(2, "x", 0).stable_hash()
@@ -108,9 +78,8 @@ class TestStablePlacement:
             outputs.append(result.stdout.strip())
         assert outputs[0] == outputs[1] == outputs[2]
         # ... and the in-process placement agrees with the subprocesses.
-        dm = DistributedMultiset(5)
         local = ",".join(
-            str(dm.home_of(Element(value, label, tag)))
+            str(home_of(Element(value, label, tag), 5))
             for value in (0, 1, -3, 7, "s", True, 2.5)
             for label in ("x", "B13", "")
             for tag in (0, 1, 9)
@@ -118,8 +87,7 @@ class TestStablePlacement:
         assert local == outputs[0]
 
     def test_placement_spreads_over_partitions(self):
-        dm = DistributedMultiset(4)
-        homes = {dm.home_of(Element(i, "x", 0)) for i in range(64)}
+        homes = {home_of(Element(i, "x", 0), 4) for i in range(64)}
         assert homes == {0, 1, 2, 3}
 
 
@@ -144,20 +112,26 @@ class TestDistributedRuntime:
         result = DistributedGammaRuntime(program, 4, config=RuntimeConfig(seed=1)).run(initial)
         assert sorted(result.values_with_label("x")) == [2, 3, 5, 7, 11, 13, 17, 19, 23]
 
+    @staticmethod
+    def _one_firing_per_device(partitions):
+        # E9(d)'s cost model: each device fires at most once per superstep.
+        return DistributedGammaRuntime(
+            sum_reduction(),
+            partitions,
+            firings_per_worker_step=1,
+            config=RuntimeConfig(seed=2),
+        ).run(values_multiset(range(1, 65)))
+
     def test_communication_grows_with_partitions(self):
-        program = sum_reduction()
-        initial = values_multiset(range(1, 65))
-        single = DistributedGammaRuntime(program, 1, config=RuntimeConfig(seed=2)).run(initial)
-        many = DistributedGammaRuntime(program, 8, config=RuntimeConfig(seed=2)).run(initial)
+        single = self._one_firing_per_device(1)
+        many = self._one_firing_per_device(8)
         assert many.messages > single.messages
         assert many.migrations >= single.migrations
         assert single.firings == many.firings == 63
 
     def test_steps_decrease_with_partitions(self):
-        program = sum_reduction()
-        initial = values_multiset(range(1, 65))
-        single = DistributedGammaRuntime(program, 1, config=RuntimeConfig(seed=2)).run(initial)
-        many = DistributedGammaRuntime(program, 8, config=RuntimeConfig(seed=2)).run(initial)
+        single = self._one_firing_per_device(1)
+        many = self._one_firing_per_device(8)
         assert many.steps < single.steps
 
     def test_per_partition_accounting(self):
@@ -203,92 +177,43 @@ class TestCommunicationRatio:
         assert result.communication_ratio == float("inf")
 
 
-class TestLegacyWorkStealing:
-    """Direct unit coverage for the legacy ``_steal_one``/``_pull_elements`` path."""
+class TestFiringBudget:
+    def test_explicit_none_is_maximal_batches(self):
+        initial = values_multiset(range(1, 33))
+        explicit = DistributedGammaRuntime(sum_reduction(), 2, firings_per_worker_step=None).run(initial)
+        unset = DistributedGammaRuntime(sum_reduction(), 2).run(initial)
+        assert explicit.final == unset.final
+        assert (explicit.steps, explicit.firings) == (unset.steps, unset.firings)
 
-    @staticmethod
-    def _runtime(seed=0):
-        return DistributedGammaRuntime(sum_reduction(), 3, config=RuntimeConfig(seed=seed))
-
-    def test_steal_one_moves_one_element_from_a_donor(self):
-        runtime = self._runtime()
-        dm = DistributedMultiset(3)
-        dm.partitions[1].add(Element(1, "x", 0))
-        dm.partitions[2].add(Element(2, "x", 0))
-        moved = runtime._steal_one(dm, 0)
-        assert moved == 1
-        assert len(dm.partitions[0]) == 1
-        assert len(dm) == 2
-
-    def test_steal_one_with_no_donors(self):
-        runtime = self._runtime()
-        dm = DistributedMultiset(3)
-        dm.partitions[0].add(Element(1, "x", 0))  # only the thief has elements
-        assert runtime._steal_one(dm, 0) == 0
-        assert len(dm.partitions[0]) == 1
-
-    def test_steal_one_is_seed_reproducible(self):
-        def stolen(seed):
-            runtime = self._runtime(seed)
-            dm = DistributedMultiset(3)
-            for value in range(8):
-                dm.partitions[1].add(Element(value, "x", 0))
-                dm.partitions[2].add(Element(value + 100, "x", 0))
-            runtime._steal_one(dm, 0)
-            return dm.partitions[0].to_tuples()
-
-        assert stolen(7) == stolen(7)
-
-    def test_pull_elements_gathers_everything(self):
-        runtime = self._runtime()
-        dm = DistributedMultiset(3)
-        for value in range(6):
-            dm.add(Element(value, "x", 0))
-        sizes_before = dm.sizes()
-        moved = runtime._pull_elements(dm, 0)
-        assert moved == sum(sizes_before) - sizes_before[0]
-        assert dm.sizes()[1] == dm.sizes()[2] == 0
-        assert len(dm.partitions[0]) == 6
-
-    def test_pull_elements_preserves_multiplicities(self):
-        runtime = DistributedGammaRuntime(sum_reduction(), 2, config=RuntimeConfig(seed=0))
-        dm = DistributedMultiset(2)
-        element = Element(1, "x", 0)
-        other = 1 - dm.home_of(element)
-        dm.partitions[other].add(element, 3)
-        union_before = dm.union()
-        runtime._pull_elements(dm, dm.home_of(element))
-        assert dm.union() == union_before
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="superstep_budget must be positive"):
+            DistributedGammaRuntime(
+                sum_reduction(),
+                2,
+                firings_per_worker_step=budget,
+                config=RuntimeConfig(backend="inprocess"),
+            )
 
 
-class TestLocalBatchFiring:
-    @pytest.mark.parametrize("partitions", [1, 2, 4])
-    def test_results_match_centralized_execution(self, partitions):
+class TestDefaultBackend:
+    def test_unset_backend_runs_inprocess(self):
         program = sum_reduction()
         initial = values_multiset(range(1, 41))
-        distributed = DistributedGammaRuntime(program, partitions, local_batches=True, firings_per_worker_step=None, config=RuntimeConfig(seed=3)).run(initial)
-        reference = run(program, initial, config=RuntimeConfig(engine="sequential"))
-        assert distributed.final == reference.final
-        assert distributed.firings == 39
+        result = DistributedGammaRuntime(program, 3).run(initial)
+        assert isinstance(result, ShardedRunResult)
+        assert result.backend == "inprocess"
+        assert result.final == run(program, initial).final
 
-    def test_batches_compress_steps(self):
+    def test_unknown_backend_lists_shard_backends(self):
+        with pytest.raises(ValueError, match="unknown backend 'legacy'") as error:
+            RuntimeConfig(backend="legacy").validate("distributed")
+        assert str(error.value).endswith(str(SHARD_BACKENDS))
+
+    def test_recovery_accepted_without_backend(self):
+        cfg = RuntimeConfig(shards=2, recovery=RecoveryManager())
+        cfg.validate("distributed")
         program = sum_reduction()
-        initial = values_multiset(range(1, 65))
-        one_at_a_time = DistributedGammaRuntime(program, 2, config=RuntimeConfig(seed=2)).run(initial)
-        batched = DistributedGammaRuntime(program, 2, local_batches=True, firings_per_worker_step=None, config=RuntimeConfig(seed=2)).run(initial)
-        assert batched.firings == one_at_a_time.firings == 63
-        assert batched.steps < one_at_a_time.steps
-
-    def test_batch_cap_respected(self):
-        program = sum_reduction()
-        initial = values_multiset(range(1, 33))
-        capped = DistributedGammaRuntime(program, 1, local_batches=True, firings_per_worker_step=4, config=RuntimeConfig(seed=0)).run(initial)
-        assert capped.final == run(program, initial).final
-        # With one partition and a cap of 4 the 31 firings need >= 8 steps.
-        assert capped.steps >= 8
-
-    def test_uncapped_requires_local_batches(self):
-        with pytest.raises(ValueError, match="local_batches"):
-            DistributedGammaRuntime(
-                sum_reduction(), 2, firings_per_worker_step=None
-            )
+        initial = values_multiset(range(1, 17))
+        result = DistributedGammaRuntime(program, config=cfg).run(initial)
+        assert result.final == run(program, initial).final

@@ -63,7 +63,6 @@ def _hello_config(program, shard=0, num_shards=1, seed=None):
         "num_shards": num_shards,
         "seed": seed,
         "compiled": True,
-        "superstep": True,
         "reactions": tuple(program.reactions),
     }
 

@@ -74,15 +74,14 @@ class TestPartitioning:
             union = union + part
         assert union == ms
 
-    def test_partition_agrees_with_distributed_multiset(self):
-        from repro.runtime import DistributedMultiset
+    def test_hash_partition_agrees_with_home_of(self):
+        from repro.multiset import home_of
 
-        dm = DistributedMultiset(4)
         elements = [Element(i, "x", 0) for i in range(32)]
         parts = hash_partition(Multiset(elements), 4)
         for index, part in enumerate(parts):
             for element in part.distinct():
-                assert dm.home_of(element) == index
+                assert home_of(element, 4) == index
 
     def test_partition_pairs_agrees_with_home_of(self):
         from repro.multiset import home_of, partition_pairs
@@ -268,14 +267,6 @@ class TestShardWorker:
         assert worker.firings == 40
         worker.close()
 
-    def test_single_firing_mode(self):
-        program = sum_reduction()
-        worker = ShardWorker(0, program.reactions, superstep=False)
-        worker.ingest([(Element(i, "x", 0), 1) for i in range(1, 5)])
-        report = worker.run_local()
-        assert report.stable and report.fired == 3
-        worker.close()
-
     def test_extract_some_respects_routing_and_limit(self):
         program = two_label_program()
         routing = RoutingTable(program.reactions, 2)
@@ -378,12 +369,6 @@ class TestShardCoordinator:
         assert result.supersteps >= 8
         assert result.final == run(program, initial, config=RuntimeConfig(engine="sequential")).final
 
-    def test_non_superstep_mode(self):
-        program = sum_reduction()
-        initial = values_multiset(range(1, 17))
-        result = ShardCoordinator(program, 2, superstep=False).run(initial)
-        assert result.final == run(program, initial, config=RuntimeConfig(engine="sequential")).final
-
     def test_interpreted_mode(self):
         program = sum_reduction()
         initial = values_multiset(range(1, 17))
@@ -423,6 +408,14 @@ class TestShardCoordinator:
         with pytest.raises(ValueError):
             ShardCoordinator(min_element(), 2, max_rounds=0)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_superstep_budget_rejected(self, budget):
+        with pytest.raises(
+            ValueError,
+            match=r"superstep_budget must be positive \(or None for maximal batches\)",
+        ):
+            ShardCoordinator(sum_reduction(), 2, superstep_budget=budget)
+
 
 class TestInProcessBackendInternals:
     def test_transfer_batches_report_in_flight_to_detector(self):
@@ -443,7 +436,7 @@ class TestInProcessBackendInternals:
 
 class TestDistributedRuntimeBackends:
     # ``backend`` is the shared parametrized fixture from tests/conftest.py:
-    # every distributed backend (legacy, inprocess, multiprocessing) sweeps
+    # every distributed backend (inprocess, multiprocessing) sweeps
     # through this test without a module-local list.
     @pytest.mark.parametrize("partitions", [1, 2, 4])
     def test_results_match_centralized_execution(self, backend, partitions):
@@ -463,23 +456,23 @@ class TestDistributedRuntimeBackends:
         assert isinstance(result, ShardedRunResult)
         assert result.backend == "inprocess"
 
-    def test_explicit_firing_cap_respected_with_local_batches(self):
-        result = DistributedGammaRuntime(sum_reduction(), 1, local_batches=True, firings_per_worker_step=4, config=RuntimeConfig(backend="inprocess")).run(values_multiset(range(1, 33)))
+    def test_explicit_firing_cap_respected(self):
+        result = DistributedGammaRuntime(sum_reduction(), 1, firings_per_worker_step=4, config=RuntimeConfig(backend="inprocess")).run(values_multiset(range(1, 33)))
         assert result.supersteps >= 8
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 7])
-    def test_legacy_firing_cap_counts_copies(self, cap):
+    def test_firing_cap_counts_copies(self, cap):
         initial = values_multiset([v for v in (1, 2, 3, 4) for _ in range(12)])
         result = DistributedGammaRuntime(
-            min_element(), 1, local_batches=True, firings_per_worker_step=cap
+            min_element(), 1, firings_per_worker_step=cap
         ).run(initial)
         assert result.firings == 36
         assert result.steps >= -(-36 // cap)  # at most ``cap`` firings per step
 
     def test_explicit_firing_cap_of_one_is_honored(self):
-        # An explicit cap of 1 reproduces the one-firing-per-superstep cost
-        # model (31 firings -> >= 31 supersteps); only the *unset* default
-        # widens to maximal batches.
+        # A cap of 1 reproduces the one-firing-per-superstep cost model
+        # (31 firings -> >= 31 supersteps); the unset default extracts
+        # maximal batches.
         capped = DistributedGammaRuntime(sum_reduction(), 1, firings_per_worker_step=1, config=RuntimeConfig(backend="inprocess")).run(values_multiset(range(1, 33)))
         assert capped.supersteps >= 31
         unset = DistributedGammaRuntime(sum_reduction(), 1, config=RuntimeConfig(backend="inprocess")).run(values_multiset(range(1, 33)))
