@@ -7,12 +7,24 @@ Two families of properties back the persistent-index refactor:
   sequence of ``add``/``remove``/``replace`` operations — including the bucket
   *ordering*, which the seeded schedulers depend on;
 * all three engines must reach the same stable observables on the paper's
-  confluent workloads across many seeds.
+  confluent workloads across many seeds;
+* inside real engine runs, the persistent scheduler must agree at every step
+  with a from-scratch rebuild: its index equals a rebuilt one and every
+  reaction it keeps parked has no match under a fresh interpreted matcher.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.gamma import run
+import repro.gamma.engine as engine_module
+from repro.gamma import (
+    ChaoticEngine,
+    MaxParallelEngine,
+    ParallelEngine,
+    SequentialEngine,
+    run,
+)
+from repro.gamma.matching import Matcher
+from repro.gamma.scheduler import ReactionScheduler
 from repro.multiset import Element, LabelTagIndex, Multiset
 from repro.workloads import make_workload
 
@@ -118,3 +130,63 @@ class TestCrossEngineObservableEquivalence:
         assert len(finals) == 1, f"{workload_name}: schedulers disagree"
         (final,) = finals
         assert sorted(final.values_with_label(workload.label)) == workload.expected_sorted()
+
+
+class AuditedScheduler(ReactionScheduler):
+    """Scheduler that checks itself against a from-scratch rebuild on every refresh.
+
+    After the worklist is re-armed, the attached index must equal (contents
+    and candidate order) an index rebuilt from the multiset, and every
+    reaction still parked must be dead under a fresh interpreted matcher —
+    the rebuild-per-step discipline the incremental scheduler replaces.
+    """
+
+    audits = 0
+
+    def refresh(self) -> None:
+        super().refresh()
+        rebuilt = LabelTagIndex(self.multiset)
+        assert self.index.as_dict() == rebuilt.as_dict()
+        for label, tags in rebuilt.as_dict().items():
+            assert self.index.candidates(label) == rebuilt.candidates(label)
+            for tag in tags:
+                assert self.index.candidates(label, tag) == rebuilt.candidates(label, tag)
+        reference = Matcher(self.multiset.copy())
+        for i in self.parked:
+            assert reference.find(self.reactions[i]) is None, self.reactions[i].name
+        AuditedScheduler.audits += 1
+
+
+def _trace_key(result):
+    return [
+        (f.step, f.reaction, f.consumed, f.produced, f.binding, f.times)
+        for f in result.trace.firings()
+    ]
+
+
+class TestSchedulerAgreesWithRebuild:
+    @pytest.mark.parametrize("workload_name", WORKLOADS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_step_matches_rebuild_reference(self, workload_name, seed, monkeypatch):
+        """Index and parked set agree with a rebuild at every step of every engine.
+
+        The audited run must also be bit-identical to the unaudited one, so
+        the audit observes the schedule without perturbing it.
+        """
+        workload = make_workload(workload_name, size=14, seed=seed)
+        engines = (
+            lambda: SequentialEngine(),
+            lambda: ChaoticEngine(seed=seed),
+            lambda: MaxParallelEngine(seed=seed),
+            lambda: ParallelEngine(seed=seed),
+        )
+        for make_engine in engines:
+            plain = make_engine().run(workload.program, workload.initial)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine_module, "ReactionScheduler", AuditedScheduler)
+                before = AuditedScheduler.audits
+                audited = make_engine().run(workload.program, workload.initial)
+                assert AuditedScheduler.audits - before == audited.steps + 1
+            assert _trace_key(audited) == _trace_key(plain)
+            assert audited.final == plain.final
+            assert sorted(audited.values_with_label(workload.label)) == workload.expected_sorted()

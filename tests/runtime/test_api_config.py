@@ -8,6 +8,7 @@ regression (consecutive ``run()`` calls with a fixed seed), and that every
 execution mode is reachable through a :class:`RuntimeConfig` alone.
 """
 
+import multiprocessing
 import warnings
 
 import pytest
@@ -29,6 +30,8 @@ from repro.gamma.program import GammaProgram
 from repro.gamma.reaction import Branch, Reaction
 from repro.gamma.stdlib import pattern
 from repro.multiset import Element, Multiset
+
+FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
 
 def decay_program():
@@ -339,8 +342,10 @@ class TestLegacyShims:
 class TestDistributedRngRegression:
     """Consecutive ``run()`` calls on one runtime must not diverge (PR 8 fix)."""
 
-    def test_consecutive_runs_identical_with_fixed_seed(self, program, initial):
-        cfg = RuntimeConfig(backend="inprocess", shards=2, seed=17)
+    def test_consecutive_runs_identical_with_fixed_seed(
+        self, backend, program, initial
+    ):
+        cfg = RuntimeConfig(backend=backend, shards=2, seed=17)
         runtime = DistributedGammaRuntime(program, config=cfg)
         first = runtime.run(initial)
         second = runtime.run(initial)
@@ -375,6 +380,12 @@ class TestEveryModeReachableViaConfig:
             RuntimeConfig(engine="sequential", compiled=False),
             RuntimeConfig(engine="sequential", columnar=True),
             RuntimeConfig(backend="inprocess", shards=2, seed=0),
+            pytest.param(
+                RuntimeConfig(backend="multiprocessing", shards=2, seed=0),
+                marks=pytest.mark.skipif(
+                    not FORK_AVAILABLE, reason="fork start method unavailable"
+                ),
+            ),
             RuntimeConfig(
                 backend="inprocess", shards=2, recovery=RecoveryManager(),
                 checkpoint_interval=2,
@@ -386,7 +397,7 @@ class TestEveryModeReachableViaConfig:
         ],
         ids=[
             "sequential", "chaotic", "max-parallel", "parallel", "parallel-workers",
-            "interpreted", "columnar", "sharded",
+            "interpreted", "columnar", "sharded", "sharded-multiprocessing",
             "sharded-recovery", "sharded-elastic",
         ],
     )

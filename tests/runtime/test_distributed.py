@@ -185,6 +185,24 @@ class TestFiringBudget:
         assert explicit.final == unset.final
         assert (explicit.steps, explicit.firings) == (unset.steps, unset.firings)
 
+    @pytest.mark.parametrize("partitions", [1, 2, 4])
+    @pytest.mark.parametrize("budget", [1, 4, None])
+    def test_results_match_centralized_execution(self, budget, partitions):
+        program = sum_reduction()
+        initial = values_multiset(range(1, 41))
+        distributed = DistributedGammaRuntime(
+            program,
+            partitions,
+            firings_per_worker_step=budget,
+            config=RuntimeConfig(seed=3),
+        ).run(initial)
+        reference = run(program, initial, config=RuntimeConfig(engine="sequential"))
+        assert distributed.final == reference.final
+        assert distributed.firings == 39
+        if budget is not None:
+            # Every local superstep fires at most ``budget`` times.
+            assert distributed.supersteps * budget >= 39
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_non_positive_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="superstep_budget must be positive"):
@@ -204,6 +222,27 @@ class TestDefaultBackend:
         assert isinstance(result, ShardedRunResult)
         assert result.backend == "inprocess"
         assert result.final == run(program, initial).final
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_unset_backend_decides_like_explicit_inprocess(self, seed):
+        program = sum_reduction()
+        initial = values_multiset(range(1, 41))
+
+        def profile(config):
+            result = DistributedGammaRuntime(program, 3, config=config).run(initial)
+            return (
+                result.backend,
+                result.final,
+                result.steps,
+                result.firings,
+                result.messages,
+                result.migrations,
+                result.per_partition_firings,
+            )
+
+        assert profile(RuntimeConfig(seed=seed)) == profile(
+            RuntimeConfig(backend="inprocess", seed=seed)
+        )
 
     def test_unknown_backend_lists_shard_backends(self):
         with pytest.raises(ValueError, match="unknown backend 'legacy'") as error:

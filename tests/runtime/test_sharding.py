@@ -447,6 +447,35 @@ class TestDistributedRuntimeBackends:
         assert distributed.final == reference.final
         assert distributed.firings == 39
 
+    @pytest.mark.parametrize("partitions", [1, 2, 4])
+    def test_one_firing_per_device_cost_model(self, backend, partitions):
+        # E9(d)'s cost model on every backend: with one firing per shard per
+        # superstep and one superstep per round, a round fires at most once
+        # per partition, and every backend makes the in-process decisions.
+        program = sum_reduction()
+        initial = values_multiset(range(1, 25))
+
+        def profile(name):
+            return DistributedGammaRuntime(
+                program,
+                partitions,
+                firings_per_worker_step=1,
+                config=RuntimeConfig(backend=name, seed=2),
+            ).run(initial)
+
+        result = profile(backend)
+        assert result.backend == backend
+        assert result.final == run(program, initial).final
+        assert result.firings == 23
+        assert result.supersteps >= 23
+        assert result.steps * partitions >= 23
+        reference = profile("inprocess")
+        assert (result.steps, result.messages, result.migrations) == (
+            reference.steps,
+            reference.messages,
+            reference.migrations,
+        )
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             DistributedGammaRuntime(sum_reduction(), 2, config=RuntimeConfig(backend="nope"))
