@@ -129,6 +129,9 @@ def _run_sharded(workload, backend, mode, repeats=REPEATS):
             NUM_SHARDS,
             backend=backend,
             seed=SEED,
+            # Lock-step rounds: the throughput-bounded-worker model counts
+            # one budgeted superstep per shard per barrier round.
+            round_supersteps=1,
             work_stealing=(mode == "stealing"),
             superstep_budget=BUDGET,
             elasticity=_migration_policy() if mode == "elastic" else None,

@@ -154,6 +154,9 @@ def _run_sharded(program, initial, reference, backend, elasticity_factory):
             program,
             NUM_SHARDS,
             backend=backend,
+            # Lock-step rounds: the throughput-bounded-worker model counts
+            # one budgeted superstep per shard per barrier round.
+            round_supersteps=1,
             work_stealing=False,
             superstep_budget=BUDGET,
             elasticity=policy,
@@ -299,6 +302,7 @@ def _measure_autoscale(reference_cache):
         program,
         2,
         backend="inprocess",
+        round_supersteps=1,
         work_stealing=False,
         superstep_budget=BUDGET,
         elasticity=policy,

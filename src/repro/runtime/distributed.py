@@ -9,8 +9,8 @@ its backends — ``"inprocess"`` (default), ``"multiprocessing"`` or
 ``"network"``.  Every shard runs its own compiled
 :class:`~repro.gamma.scheduler.ReactionScheduler`, fires maximal local
 supersteps through the codegenned collectors and batched rewrites, and takes
-part in a superstep-barrier protocol with footprint-routed batched
-migrations, work stealing, and two-phase global quiescence detection.
+part in a barrier protocol with footprint-routed batched migrations and
+two-phase global quiescence detection.
 
 The result reports firings, steps (barrier rounds), migrations and messages,
 so the partition sweep of experiment E9(d) can show the locality/communication
@@ -104,8 +104,11 @@ class DistributedGammaRuntime:
         ``firings_per_worker_step`` caps the firings of each shard's local
         superstep (``None``, the default, extracts maximal batches; ``1`` is
         the one-firing-per-device cost model of experiment E9(d)); it must
-        be positive.  ``max_steps`` bounds the barrier rounds, and ``seed``
-        drives the shards' derived scheduler seeds.
+        be positive.  Setting it also makes the rounds lock-step (one local
+        superstep per barrier round), because that model counts rounds as
+        steps; unset, every shard runs to its local fixpoint per round.
+        ``max_steps`` bounds the barrier rounds, and ``seed`` drives the
+        shards' derived scheduler seeds.
         """
         from ..api import RuntimeConfig, _legacy_names, _reject_config_mix, _warn_legacy
 
@@ -156,6 +159,9 @@ class DistributedGammaRuntime:
             seed=cfg.seed,
             max_rounds=1_000_000 if cfg.max_steps is None else cfg.max_steps,
             superstep_budget=firings_per_worker_step,
+            # A per-step firing budget is the E9(d) cost model, which counts
+            # barrier rounds as steps: keep its rounds lock-step.
+            round_supersteps=None if firings_per_worker_step is None else 1,
             compiled=True if cfg.compiled is None else cfg.compiled,
             recovery=cfg.recovery,
             checkpoint_rounds=cfg.checkpoint_interval,

@@ -226,6 +226,7 @@ class NetworkBackend:
         try:
             self.wire_bytes += await write_frame(writer, (command, payload))
         except (FrameError, ConnectionError, OSError) as exc:
+            self._abort_connection(shard)
             raise WorkerDied(shard, f"send of {command!r} failed: {exc}") from None
 
     def _send(self, shard: int, command: str, payload: Any = None) -> None:
@@ -267,6 +268,10 @@ class NetworkBackend:
                 f"unresponsive for {self._timeout:.0f}s awaiting {expected!r} reply",
             ) from None
         except (FrameError, ConnectionError, OSError) as exc:
+            # Close our half too: the server process may linger a moment
+            # after its socket hit EOF, and dead_shards() must not mistake
+            # the shard for a survivor that can still be reset in place.
+            self._abort_connection(shard)
             raise WorkerDied(
                 shard, f"connection lost awaiting {expected!r} reply ({exc})"
             ) from None
@@ -314,7 +319,7 @@ class NetworkBackend:
         return self._run(go())
 
     def label_counts(self) -> List[Dict[str, int]]:
-        """Per-shard label histograms (migration-planner input)."""
+        """Per-shard label histograms (elasticity's mid-run read)."""
 
         async def go() -> List[Dict[str, int]]:
             for shard in range(self.num_shards):
@@ -481,24 +486,34 @@ class NetworkBackend:
 
         Survivors of an aborted round may still owe replies; the server
         serves commands strictly in order, so reading until the distinctive
-        ``reset_ok`` kind discards exactly the stale traffic.
+        ``reset_ok`` kind discards exactly the stale traffic.  If a shard is
+        lost midway, every connection still owing a ``reset_ok`` is dropped
+        too: the retried recovery respawns those shards rather than
+        resetting them twice and draining only one acknowledgement.
         """
 
         async def go() -> None:
-            for shard in range(self.num_shards):
-                payload = (
-                    to_column_batch(partitions[shard])
-                    if partitions is not None
-                    else batches[shard]
-                )
-                await self._post(shard, "reset", payload)
-            for shard in range(self.num_shards):
-                while True:
+            owing: List[int] = []
+            try:
+                for shard in range(self.num_shards):
+                    payload = (
+                        to_column_batch(partitions[shard])
+                        if partitions is not None
+                        else batches[shard]
+                    )
+                    await self._post(shard, "reset", payload)
+                    owing.append(shard)
+                while owing:
+                    shard = owing[0]
                     kind, payload = await self._next_reply(shard, "reset_ok")
                     if kind == "reset_ok":
-                        break
-                    if kind == "error":
+                        owing.pop(0)
+                    elif kind == "error":
                         raise WorkerDied(shard, f"failed during reset:\n{payload}")
+            except WorkerDied:
+                for shard in owing:
+                    self._abort_connection(shard)
+                raise
 
         self._run(go())
 

@@ -21,12 +21,17 @@ Wire protocol (control plane → shard server, strict request/reply order)::
                                                  routing table from this frame
     ("load"|"ingest", column_batch)  -> ("ok", copies)
     ("step", (max_supersteps, budget))
-        -> ("report", (shard, fired, supersteps, size, stable))
+        -> ("report", (shard, fired, supersteps, size, stable, labels))
                                                  ``stable`` is this shard's
-                                                 quiescence vote, riding the
-                                                 step reply exactly as in the
-                                                 queue protocol
+                                                 quiescence vote and
+                                                 ``labels`` its label
+                                                 histogram ({label: count}
+                                                 when stable, else None),
+                                                 riding the step reply
+                                                 exactly as in the queue
+                                                 protocol
     ("labels", None)                 -> ("labels", {label: count})
+                                                 elasticity's mid-run read
     ("extract_labels", [label...])   -> ("batch", column_batch)
     ("extract_some", limit)          -> ("batch", column_batch)
     ("snapshot", None)               -> ("batch", column_batch)
@@ -166,6 +171,7 @@ async def handle_shard_connection(
                             report.supersteps,
                             report.size,
                             report.stable,
+                            report.labels,
                         ),
                     ),
                 )

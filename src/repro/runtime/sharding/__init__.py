@@ -14,9 +14,10 @@ the compiled scheduling stack:
   system is quiescent exactly when every shard is locally stable, no
   migration is in flight, and the routing plan is empty (all consumable
   labels co-located, so no cross-shard match can exist);
-* :class:`ShardCoordinator` — the superstep-barrier protocol tying the above
-  together: local superstep rounds, work-stealing rebalancing driven by
-  per-shard load, exchange rounds, termination;
+* :class:`ShardCoordinator` — the barrier protocol tying the above
+  together: shards run to their local fixpoint, the exchange is planned from
+  the label histograms riding the step replies, termination (optional
+  lock-step rounds and work-stealing rebalancing for cost studies);
 * three interchangeable backends — :class:`InProcessBackend` (shards as
   objects, deterministic traces for differential testing),
   :class:`MultiprocessingBackend` (shard workers as OS processes exchanging

@@ -3,19 +3,29 @@
 The coordinator owns the global control loop; shards own all element state.
 One *round* of the protocol:
 
-1. **local supersteps** — every shard fires maximal disjoint local match
+1. **local fixpoint** — every shard fires maximal disjoint local match
    batches through its compiled scheduler until locally stable (or a cap);
-   the multiprocessing backend overlaps the shards on real cores;
-2. **rebalancing** — if the round made progress but some shards starved
-   while others are heavily loaded, the starving shards *steal* a batch of
-   routable elements from the most-loaded donor (load metrics come from the
-   shard reports; transfers are batched, never one message per element);
-3. **exchange** — once no shard can fire locally, the routing table derived
-   from reaction footprints plans batched migrations that co-locate every
-   consumable label at its home shard, enabling cross-shard matches;
+   the multiprocessing and network backends overlap the shards on real
+   cores.  A stable shard's step reply carries its label histogram, so the
+   barrier needs no further message to plan an exchange;
+2. **rebalancing** (opt-in, ``work_stealing=True``) — if the round made
+   progress but some shards starved while others are heavily loaded, the
+   starving shards *steal* a batch of routable elements from the most-loaded
+   donor (transfers are batched, never one message per element);
+3. **exchange** — once every shard is locally stable (in the same round, even
+   if they fired on the way there), the routing table derived from reaction
+   footprints plans batched migrations from the reported histograms that
+   co-locate every consumable label at its home shard, enabling cross-shard
+   matches;
 4. **termination** — the two-phase quiescence check: all shards locally
    stable, no migration in flight, and an empty exchange plan (which
    certifies that no cross-shard match exists).
+
+With stealing or elasticity active, a round whose shards fired returns
+before the exchange (both mutate shards after the reports, making the
+reported histograms stale) and the next round re-steps the shards.
+``round_supersteps=1`` recovers lock-step supersteps: a shard then reports
+stable only when it fired nothing.
 
 A batch run is one :class:`ShardSession` driven to the drained verdict; the
 streaming runtime (:mod:`repro.runtime.streaming`) holds a session open
@@ -128,15 +138,16 @@ class ShardCoordinator:
     superstep_budget:
         Cap on firings per local superstep (``None`` = maximal batches).
     round_supersteps:
-        Local supersteps each shard may fire per barrier round (default 1 —
-        lockstep supersteps, which is what lets the load-metric rebalancing
-        observe starvation early; ``None`` runs every shard to its local
-        fixpoint per round, minimizing barriers at the cost of rebalancing
-        opportunities).
+        Local supersteps each shard may fire per barrier round.  ``None``
+        (default) runs every shard to its local fixpoint per round, so a
+        round is one barrier plus at most one exchange; ``1`` is lock-step
+        supersteps, the step model of cost studies that count rounds as
+        steps (and what lets stealing observe starvation early).
     compiled:
         Compiled schedulers (default) or the interpreted baseline.
     work_stealing:
-        Enable load-driven rebalancing of starving shards (default on).
+        Enable load-driven rebalancing of starving shards (default off;
+        most useful with ``round_supersteps=1``).
     steal_threshold:
         A starving shard steals only from a donor holding more than
         ``steal_threshold`` times its own load (plus one).
@@ -168,9 +179,9 @@ class ShardCoordinator:
         max_rounds: int = 1_000_000,
         max_supersteps: int = 1_000_000,
         superstep_budget: Optional[int] = None,
-        round_supersteps: Optional[int] = 1,
+        round_supersteps: Optional[int] = None,
         compiled: bool = True,
-        work_stealing: bool = True,
+        work_stealing: bool = False,
         steal_threshold: float = 2.0,
         recovery: Optional[RecoveryManager] = None,
         checkpoint_rounds: Optional[int] = None,
@@ -578,7 +589,11 @@ class ShardSession:
             detector.record_local(report.shard, report.stable)
         self.firings += fired
 
-        if fired:
+        # Stealing and elasticity move elements after the reports, which
+        # would leave the reported histograms stale: they keep the
+        # return-and-re-step round.
+        mutating = coordinator.work_stealing or coordinator.elasticity is not None
+        if fired and (mutating or not detector.all_locally_stable()):
             if coordinator.work_stealing:
                 moved, batches = coordinator._rebalance(backend, reports, detector)
                 self.migrations += moved
@@ -588,9 +603,9 @@ class ShardSession:
                 self._elastic_step(reports)
             return None
 
-        # Every shard is locally stable: plan the exchange.
-        histograms = backend.label_counts()
-        self.messages += coordinator.num_shards
+        # Every shard is locally stable: plan the exchange from the
+        # histograms that rode the step replies.
+        histograms = [report.labels for report in reports]
         plan = coordinator.routing.migration_plan(histograms)
         verdict = detector.verdict(plan_empty=not plan)
         if verdict != RUNNING:

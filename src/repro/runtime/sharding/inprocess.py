@@ -76,7 +76,7 @@ class InProcessBackend:
         ]
 
     def label_counts(self) -> List[Dict[str, int]]:
-        """Per-shard label histograms (migration-planner input)."""
+        """Per-shard label histograms (elasticity's mid-run read)."""
         return [worker.label_counts() for worker in self.workers]
 
     def execute_transfers(

@@ -109,6 +109,7 @@ def _shard_worker_main(
                             report.supersteps,
                             report.size,
                             report.stable,
+                            report.labels,
                         ),
                     )
                 )
@@ -290,7 +291,7 @@ class MultiprocessingBackend:
         return reports
 
     def label_counts(self) -> List[Dict[str, int]]:
-        """Per-shard label histograms (migration-planner input)."""
+        """Per-shard label histograms (elasticity's mid-run read)."""
         for shard in range(self.num_shards):
             self._send(shard, "labels")
         return [self._recv(shard, "labels") for shard in range(self.num_shards)]

@@ -46,6 +46,9 @@ class LocalReport:
     ``stable`` is ``True`` when the shard ran out of local matches (its
     scheduler proved no reaction enabled against the partition); ``False``
     means the round stopped on the superstep cap with work remaining.
+    ``labels`` is the partition's label histogram at the end of a stable
+    round (the migration planner's input, riding the step reply so the
+    exchange needs no extra message) and ``None`` otherwise.
     """
 
     shard: int
@@ -53,6 +56,7 @@ class LocalReport:
     supersteps: int
     size: int
     stable: bool
+    labels: Optional[Dict[str, int]]
 
 
 def derive_shard_seed(seed: Optional[int], shard: int) -> Optional[int]:
@@ -121,7 +125,8 @@ class ShardWorker:
         to the local fixpoint); ``budget`` caps the firings per superstep
         (``None`` extracts maximal batches).  Returns the round's
         :class:`LocalReport`, whose ``fired`` counts firings — a match of
-        multiplicity ``k`` counts ``k``.
+        multiplicity ``k`` counts ``k`` — and which carries the label
+        histogram when the round ended stable.
         """
         fired = 0
         steps = 0
@@ -144,11 +149,12 @@ class ShardWorker:
             supersteps=steps,
             size=len(multiset),
             stable=stable,
+            labels=multiset.label_counts() if stable else None,
         )
 
     # -- transfers ----------------------------------------------------------------
     def label_counts(self) -> Dict[str, int]:
-        """The shard's label histogram (input to the migration planner)."""
+        """The shard's label histogram (the ``labels`` command elasticity reads)."""
         return self.multiset.label_counts()
 
     def extract_labels(self, labels: Sequence[str]) -> List[Tuple[Element, int]]:

@@ -237,6 +237,29 @@ class TestElasticRuns:
             **kwargs,
         )
 
+    # Counts of this run before fixpoint rounds and same-round exchanges
+    # existed: elasticity keeps the return-and-re-step round, so they must
+    # not move.
+    @pytest.mark.parametrize(
+        "round_supersteps, expected",
+        [(1, (34, 270, 9, 3, [69, 63, 63, 75])), (None, (2, 270, 6, 2, [270, 0, 0, 0]))],
+    )
+    def test_elastic_rounds_keep_their_counts(self, round_supersteps, expected):
+        labels = _labels_homed_at(0, 4, 4)
+        policy = ElasticityPolicy(
+            patience=1, migrate_imbalance=1.3, cooldown=1, merge_threshold=0
+        )
+        result = self._elastic_coordinator(
+            decay_program(labels), policy, round_supersteps=round_supersteps
+        ).run(skewed_multiset(labels, 4, per_label=3, value=16))
+        assert (
+            result.rounds,
+            result.firings,
+            result.migrations,
+            result.group_migrations,
+            result.per_partition_firings,
+        ) == expected
+
     def test_group_migration_spreads_a_hot_shard(self):
         labels = _labels_homed_at(0, 4, 4)
         program = decay_program(labels)
@@ -244,7 +267,11 @@ class TestElasticRuns:
         policy = ElasticityPolicy(
             patience=1, migrate_imbalance=1.3, cooldown=1, merge_threshold=0
         )
-        result = self._elastic_coordinator(program, policy).run(initial)
+        # Lock-step rounds: the policy watches the hot shard while it is
+        # still firing, superstep by superstep.
+        result = self._elastic_coordinator(
+            program, policy, round_supersteps=1
+        ).run(initial)
         reference = sequential_reference(program, initial)
         assert result.final.counts() == reference.final.counts()
         assert result.group_migrations > 0

@@ -101,10 +101,11 @@ class TestServerProtocol:
                 await write_frame(writer, ("step", (None, None)))
                 (kind, report), _ = await read_frame(reader)
                 assert kind == "report"
-                shard, fired, supersteps, size, stable = report
+                shard, fired, supersteps, size, stable, labels = report
                 assert shard == 0
                 assert fired >= 1  # 3+4, then +5 — at least one local firing
                 assert stable  # single shard: local quiescence is global
+                assert labels == {"x": 1}  # a stable report carries its histogram
 
                 await write_frame(writer, ("snapshot", None))
                 (kind, snapshot), _ = await read_frame(reader)
@@ -122,10 +123,17 @@ class TestServerProtocol:
                 frame, _ = await read_frame(reader)
                 assert frame == ("reset_ok", 0)
 
+                # One superstep fires one of the three copies' pairs and stops
+                # on the cap with work left: not stable, so no histogram.
+                await write_frame(writer, ("step", (1, None)))
+                (kind, report), _ = await read_frame(reader)
+                assert kind == "report"
+                assert report == (0, 1, 1, 2, False, None)
+
                 await write_frame(writer, ("extract_labels", ["x"]))
                 (kind, labeled), _ = await read_frame(reader)
                 assert kind == "batch"
-                assert sum(count for _, count in from_column_batch(labeled)) == 3
+                assert sum(count for _, count in from_column_batch(labeled)) == 2
 
                 await write_frame(writer, ("stop", None))
                 frame, _ = await read_frame(reader)
@@ -309,6 +317,51 @@ class TestNetworkBackend:
                 for _ in range(20):
                     backend.superstep_all()
                     time.sleep(0.05)
+        finally:
+            backend.stop()
+
+    @staticmethod
+    def _supervised_backend_with_lingering_victim(monkeypatch, victim):
+        """Two loaded shard servers; ``victim`` is SIGKILLed but its process
+        object keeps reporting alive, as it can for a moment after the
+        server's socket closed."""
+        program = sum_reduction()
+        reactions = list(program.reactions)
+        backend = NetworkBackend(reactions, 2, RoutingTable(reactions, 2), seed=1)
+        backend.supervised = True
+        partitions = partition_counts(values_multiset(range(1, 9)), 2)
+        backend.load(partitions)
+        process = backend._processes[victim]
+        process.kill()
+        process.join(timeout=10)
+        monkeypatch.setattr(process, "is_alive", lambda: True)
+        return backend, [to_column_batch(part) for part in partitions]
+
+    def test_lost_connection_marks_the_shard_dead(self, monkeypatch):
+        backend, batches = self._supervised_backend_with_lingering_victim(
+            monkeypatch, victim=1
+        )
+        try:
+            with pytest.raises(WorkerDied):
+                backend.superstep_all()
+            assert backend.dead_shards() == [1]
+            assert backend.recover(batches) == [1]
+            assert sum(report.fired for report in backend.superstep_all()) == 6
+        finally:
+            backend.stop()
+
+    def test_reset_cut_short_by_a_death_leaves_no_stale_reply(self, monkeypatch):
+        # The death surfaces inside the reset broadcast: the session retries
+        # the recovery, and the survivor must not answer the next step with
+        # the first attempt's reset_ok.
+        backend, batches = self._supervised_backend_with_lingering_victim(
+            monkeypatch, victim=0
+        )
+        try:
+            with pytest.raises(WorkerDied):
+                backend.recover(batches)
+            backend.recover(batches)
+            assert sum(report.fired for report in backend.superstep_all()) == 6
         finally:
             backend.stop()
 

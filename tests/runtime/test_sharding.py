@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from repro.core import dataflow_to_gamma
+from repro.frontend import compile_source_to_graph
 from repro.gamma import ParallelEngine, run
 from repro.gamma.engine import NonTerminationError
 from repro.gamma.expr import Const
@@ -29,6 +31,7 @@ from repro.runtime.sharding import (
     ShardedRunResult,
     ShardWorker,
 )
+from repro.workloads import ExpressionSpec, random_expression_graph, triangular
 from repro.api import RuntimeConfig
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
@@ -353,11 +356,14 @@ class TestShardCoordinator:
         # single shard; stealing must spread work to the starving shards.
         program = sum_reduction()
         initial = Multiset([(5, "x")] * 64)
-        balanced = ShardCoordinator(program, 4, superstep_budget=2).run(initial)
+        # Stealing is opt-in and observes starvation between lock-step rounds.
+        balanced = ShardCoordinator(
+            program, 4, superstep_budget=2, work_stealing=True, round_supersteps=1
+        ).run(initial)
         assert balanced.steals > 0
         assert balanced.final == run(program, initial, config=RuntimeConfig(engine="sequential")).final
         disabled = ShardCoordinator(
-            program, 4, superstep_budget=2, work_stealing=False
+            program, 4, superstep_budget=2, work_stealing=False, round_supersteps=1
         ).run(initial)
         assert disabled.steals == 0
         assert disabled.final == balanced.final
@@ -529,7 +535,7 @@ class TestMultiplicityCountGate:
         assert result.values_with_label("x") == [min(values)] * values.count(min(values))
         assert result.firings == len(values) - values.count(min(values))
         assert sum(result.per_partition_firings) == result.firings
-        assert result.rounds <= 30
+        assert result.rounds <= 4
 
     @pytest.mark.parametrize("input_seed", [7, 11])
     @pytest.mark.parametrize("engine_seed", [None, 3])
@@ -540,6 +546,112 @@ class TestMultiplicityCountGate:
         )
         assert result.firings == len(values) - values.count(min(values))
         assert result.steps <= 14
+
+
+class TestConvertedProgramsOnShards:
+    """The paper's use case on shards, counted rather than timed: a converted
+    dataflow program runs on 4 shards in a handful of barrier rounds instead
+    of one round per local superstep."""
+
+    @staticmethod
+    def run_both(graph):
+        conv = dataflow_to_gamma(graph)
+        sequential = run(
+            conv.program, conv.initial, config=RuntimeConfig(engine="sequential")
+        )
+        sharded = ShardCoordinator(conv.program, 4, backend="inprocess", seed=3).run(
+            conv.initial
+        )
+        assert sharded.final == sequential.final
+        assert sharded.firings == sequential.firings
+        return sharded
+
+    def test_triangular_loop(self):
+        kernel = triangular(1000)
+        result = self.run_both(compile_source_to_graph(kernel.source, name=kernel.name))
+        assert result.rounds <= 4
+        assert result.migrations <= 2 * result.firings
+
+    def test_expression_dag(self):
+        graph = random_expression_graph(
+            ExpressionSpec(num_inputs=128, num_operations=512, seed=0)
+        )
+        result = self.run_both(graph)
+        assert result.rounds <= 12
+
+
+class TestSameRoundVerdict:
+    """When every shard reports stable, the round plans its exchange (and
+    reaches its verdict) from the histograms on the step replies."""
+
+    def test_single_shard_finishes_in_one_round(self):
+        values = [9, 4, 11, 2, 6, 13, 2]
+        result = ShardCoordinator(min_element(), 1).run(values_multiset(values))
+        assert result.values_with_label("x") == [2, 2]
+        assert result.rounds == 1
+        assert result.final_shard_sizes == [2]
+
+    @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork start method unavailable")
+    @pytest.mark.parametrize(
+        "program, values",
+        [(sum_reduction, range(1, 41)), (prime_sieve, range(2, 60))],
+    )
+    def test_backends_decide_identically_under_defaults(self, program, values):
+        program = program()
+        initial = values_multiset(values)
+
+        def decisions(backend):
+            result = ShardCoordinator(program, 3, backend=backend, seed=7).run(
+                initial.copy()
+            )
+            return (
+                result.final,
+                result.rounds,
+                result.firings,
+                result.migrations,
+                result.per_partition_firings,
+            )
+
+        local = decisions("inprocess")
+        assert decisions("multiprocessing") == local
+        assert decisions("network") == local
+
+    # Counts of the same configurations before fixpoint rounds and same-round
+    # exchanges existed: stealing keeps the return-and-re-step round, so they
+    # must not move.
+    @pytest.mark.parametrize(
+        "round_supersteps, expected",
+        [(1, (16, 63, 43, 5, [14, 23, 12, 14])), (None, (3, 63, 1, 0, [0, 63, 0, 0]))],
+    )
+    def test_work_stealing_keeps_its_rounds(self, round_supersteps, expected):
+        result = ShardCoordinator(
+            sum_reduction(),
+            4,
+            seed=7,
+            superstep_budget=2,
+            work_stealing=True,
+            round_supersteps=round_supersteps,
+        ).run(Multiset([(5, "x")] * 64))
+        assert (
+            result.rounds,
+            result.firings,
+            result.migrations,
+            result.steals,
+            result.per_partition_firings,
+        ) == expected
+
+    def test_lock_step_rounds_keep_their_schedule(self):
+        # With one superstep per round a shard is stable only when it fired
+        # nothing, so the same-round exchange never triggers early.
+        result = ShardCoordinator(
+            min_element(), 4, seed=7, round_supersteps=1
+        ).run(values_multiset(range(1, 41)))
+        assert (
+            result.rounds,
+            result.firings,
+            result.migrations,
+            result.per_partition_firings,
+        ) == (8, 39, 3, [9, 6, 11, 13])
 
 
 @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork start method unavailable")

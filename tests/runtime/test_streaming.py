@@ -1,6 +1,7 @@
 """Tests for the streaming ingestion runtime (`repro.runtime.streaming`)."""
 
 import multiprocessing
+import random
 import threading
 import time
 
@@ -327,6 +328,27 @@ class TestStreamingGammaRuntime:
             assert report.steps <= 1
         assert runtime.result().final.values_with_label("x") == [sum(range(1, 17))]
         runtime.close()
+
+    def test_sharded_epochs_take_at_most_three_rounds(self):
+        # Each epoch is one fixpoint round plus the exchange it plans, and the
+        # round that certifies stability: not one barrier per superstep.
+        rng = random.Random(7)
+        initial = values_multiset(rng.randint(1, 1000) for _ in range(200))
+        schedule = [
+            elements(rng.randint(1, 1000) for _ in range(200)) for _ in range(5)
+        ]
+        injected = [element for batch in schedule for element in batch]
+        reference = run(
+            min_element(),
+            union(initial, injected),
+            config=RuntimeConfig(engine="sequential"),
+        )
+        result = StreamingGammaRuntime(
+            min_element(), config=RuntimeConfig(backend="inprocess", shards=2, seed=3)
+        ).run(initial, schedule=schedule)
+        assert result.final == reference.final
+        assert result.epochs == 6
+        assert all(report.steps <= 3 for report in result.per_epoch)
 
     def test_result_readable_after_close_on_sharded_backends(self):
         program = sum_reduction()
