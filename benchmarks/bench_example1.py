@@ -64,7 +64,7 @@ def test_bench_dataflow_interpreter(benchmark, graph):
     assert result.single_output("m") == 0
 
 
-@pytest.mark.parametrize("engine", ["sequential", "chaotic", "max-parallel"])
+@pytest.mark.parametrize("engine", ["sequential", "chaotic", "parallel"])
 def test_bench_gamma_engines(benchmark, conversion, engine):
     result = benchmark(lambda: run_gamma(conversion.program, config=RuntimeConfig(engine=engine, seed=0)))
     assert result.final.values_with_label("m") == [0]

@@ -2,7 +2,7 @@
 
 Compares the batched :class:`~repro.gamma.engine.ParallelEngine` (maximal
 disjoint superstep extraction through the compiled collectors, batched
-rewrites, optional worker-pool production evaluation) against the sequential
+rewrites) against the sequential
 compiled engine — the winner of PR 2 — running each workload *to the stable
 state* and reporting firing throughput (reactions applied per wall second).
 
@@ -22,8 +22,9 @@ mode's 10^3).
 
 Two structural checks back the acceptance criteria:
 
-* seeded superstep traces are bit-identical at every worker count (production
-  evaluation happens off the critical scheduling path);
+* seeded superstep traces are repeatable, and the PE-pool counting model
+  (:class:`~repro.runtime.GammaSimulator`) steps through the very schedule
+  the engine fires;
 * the parallel backend reaches the same stable multiset as the sequential
   compiled engine on every paper workload.
 
@@ -39,6 +40,7 @@ from _report import emit_json, emit_report
 from repro.analysis import format_table
 from repro.gamma import ParallelEngine, SequentialEngine
 from repro.gamma.stdlib import min_element, values_multiset
+from repro.runtime import GammaSimulator
 from repro.workloads import make_workload
 from repro.workloads.classic import ClassicWorkload
 
@@ -57,7 +59,6 @@ SEEDED_SIZE = 1_000 if FAST_MODE else 10_000
 SEEDED_MAX_RATIO = 2.0
 
 TRACE_WORKLOADS = ("min_element", "sum_reduction", "prime_sieve", "exchange_sort", "gcd")
-TRACE_WORKER_COUNTS = (None, 1, 2, 4)
 
 
 def _run_to_stable(workload, engine_factory, repeats=3):
@@ -155,24 +156,22 @@ def test_report_parallel_engine_scaling():
         ]
     )
 
-    # -- seeded traces identical at every worker count --------------------------
+    # -- seeded traces repeat, and the counting model replays them ----------------
     trace_identical = {}
     for name in TRACE_WORKLOADS:
         workload = make_workload(name, size=24, seed=5)
-        reference = None
-        identical = True
-        for workers in TRACE_WORKER_COUNTS:
-            result = ParallelEngine(seed=11, workers=workers).run(
-                workload.program, workload.initial
-            )
-            key = (_trace_key(result), result.final)
-            if reference is None:
-                reference = key
-            identical = identical and key == reference
+        first, second = (
+            ParallelEngine(seed=11).run(workload.program, workload.initial)
+            for _ in range(2)
+        )
+        counted = GammaSimulator(workload.program, seed=11).run(workload.initial)
         # ... and the backend agrees with the sequential compiled engine.
         sequential = SequentialEngine().run(workload.program, workload.initial)
-        identical = identical and reference[1] == sequential.final
-        trace_identical[name] = identical
+        trace_identical[name] = (
+            _trace_key(first) == _trace_key(second)
+            and counted.metrics.profile == first.parallelism_profile()
+            and first.final == counted.final == sequential.final
+        )
     assert all(trace_identical.values()), trace_identical
 
     emit_report(

@@ -15,7 +15,7 @@ from repro.gamma import run as run_gamma
 from repro.workloads import make_workload
 from repro.api import RuntimeConfig
 
-ENGINES = ("sequential", "chaotic", "max-parallel")
+ENGINES = ("sequential", "chaotic", "parallel")
 WORKLOADS = ("min_element", "sum_reduction", "prime_sieve", "exchange_sort", "gcd")
 
 

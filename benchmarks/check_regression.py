@@ -50,7 +50,6 @@ IDENTITY_FIELDS = (
     "backend",
     "size",
     "shards",
-    "workers",
     "partitions",
     "num_pes",
 )

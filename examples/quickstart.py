@@ -35,7 +35,7 @@ def main() -> None:
     print(format_program(conversion.program))
 
     # 3. Run the Gamma program with every engine.
-    for engine in ("sequential", "chaotic", "max-parallel"):
+    for engine in ("sequential", "chaotic", "parallel"):
         result = run_gamma(conversion.program, config=RuntimeConfig(engine=engine, seed=0))
         print(f"Gamma [{engine:12s}] m = {result.final.values_with_label('m')}  "
               f"({result.firings} firings in {result.steps} steps)")

@@ -15,15 +15,12 @@ from .memoization import (
     run_with_memoization,
 )
 from .parallelism import (
-    BackendParallelism,
     ParallelismComparison,
-    compare_backend_parallelism,
     compare_parallelism,
     critical_path_length,
     dataflow_parallelism,
     gamma_parallelism,
     graph_width,
-    measured_parallelism,
 )
 from .reaction_graph import (
     DependencyEdge,
@@ -44,9 +41,8 @@ from .sharding import (
 __all__ = [
     "shard_balance", "communication_volume", "shard_load_report", "ShardLoadReport",
     "critical_path_length", "graph_width",
-    "dataflow_parallelism", "gamma_parallelism", "measured_parallelism",
+    "dataflow_parallelism", "gamma_parallelism",
     "compare_parallelism", "ParallelismComparison",
-    "compare_backend_parallelism", "BackendParallelism",
     "granularity_report", "compare_granularity", "matching_probability", "GranularityReport",
     "reuse_from_dataflow", "reuse_from_gamma", "run_with_memoization",
     "ReuseStatistics", "MemoizationCache", "MemoizedRunResult",

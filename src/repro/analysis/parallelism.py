@@ -7,7 +7,7 @@ Two kinds of quantities are produced:
   width of the precedence DAG — computed on acyclic graphs (expression DAGs)
   or on the unrolled firing DAG of executions with loops;
 * **dynamic** profiles measured on executions: firings per step of the
-  simulators / the max-parallel Gamma engine, summarized by
+  simulators / the parallel Gamma engine, summarized by
   :class:`~repro.runtime.metrics.ParallelRunMetrics`.
 
 The cross-model comparison of experiment E9(a) uses
@@ -19,11 +19,10 @@ counted as work on either side).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.df_to_gamma import dataflow_to_gamma
 from ..dataflow.graph import DataflowGraph
-from ..gamma.engine import MaxParallelEngine, ParallelEngine
 from ..gamma.program import GammaProgram
 from ..multiset.multiset import Multiset
 from ..runtime.df_simulator import simulate_graph
@@ -35,11 +34,8 @@ __all__ = [
     "graph_width",
     "dataflow_parallelism",
     "gamma_parallelism",
-    "measured_parallelism",
     "ParallelismComparison",
     "compare_parallelism",
-    "BackendParallelism",
-    "compare_backend_parallelism",
 ]
 
 
@@ -94,82 +90,16 @@ def gamma_parallelism(
     num_pes: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> ParallelRunMetrics:
-    """Dynamic parallelism profile of a (PE-bounded) parallel Gamma execution."""
-    if num_pes is None:
-        # Use the unbounded max-parallel engine, whose trace gives the profile.
-        engine = MaxParallelEngine(seed=seed)
-        result = engine.run(program, initial)
-        return ParallelRunMetrics.from_profile(result.parallelism_profile(), num_pes=None)
+    """Dynamic parallelism profile of a parallel Gamma execution.
+
+    Runs :class:`~repro.runtime.gamma_simulator.GammaSimulator`;
+    ``num_pes=None`` is the unbounded pool, i.e. the available parallelism.
+    """
     from ..api import RuntimeConfig
 
     return simulate_program(
         program, initial, num_pes=num_pes, config=RuntimeConfig(seed=seed)
     ).metrics
-
-
-def measured_parallelism(
-    program: GammaProgram,
-    initial: Optional[Multiset] = None,
-    seed: Optional[int] = None,
-    workers: Optional[int] = None,
-    max_batch: Optional[int] = None,
-) -> ParallelRunMetrics:
-    """Parallelism profile of an actual :class:`ParallelEngine` execution.
-
-    Unlike :func:`gamma_parallelism` — which *counts* disjoint matches on the
-    unit-latency PE model — this runs the batched superstep backend for real
-    and reads the executed per-superstep widths from its trace.  ``max_batch``
-    (reported as the profile's PE bound) caps each superstep like a finite PE
-    pool would.
-    """
-    engine = ParallelEngine(seed=seed, workers=workers, max_batch=max_batch)
-    result = engine.run(program, initial)
-    return ParallelRunMetrics.from_profile(
-        result.parallelism_profile(), num_pes=max_batch
-    )
-
-
-@dataclass
-class BackendParallelism:
-    """Available vs. measured parallelism of one Gamma program (E9 extension).
-
-    ``available`` comes from the :class:`MaxParallelEngine` counting model
-    (how many disjoint firings *exist* per step); ``measured`` from an actual
-    :class:`ParallelEngine` run (how many the parallel backend *executed* per
-    superstep).  ``realization`` is the fraction of available width the
-    backend realized, averaged over the run.
-    """
-
-    available: ParallelRunMetrics
-    measured: ParallelRunMetrics
-
-    @property
-    def realization(self) -> float:
-        if not self.available.average_parallelism:
-            return 0.0
-        return self.measured.average_parallelism / self.available.average_parallelism
-
-    def as_rows(self) -> List[Tuple[str, float, float]]:
-        """Rows ``(metric, available, measured)`` for the report printer."""
-        keys = ["steps", "work", "max_parallelism", "average_parallelism", "speedup"]
-        av = self.available.as_dict()
-        ms = self.measured.as_dict()
-        return [(key, av[key], ms[key]) for key in keys]
-
-
-def compare_backend_parallelism(
-    program: GammaProgram,
-    initial: Optional[Multiset] = None,
-    seed: Optional[int] = None,
-    workers: Optional[int] = None,
-    max_batch: Optional[int] = None,
-) -> BackendParallelism:
-    """Run the counting model and the executing backend side by side."""
-    available = gamma_parallelism(program, initial, num_pes=max_batch, seed=seed)
-    measured = measured_parallelism(
-        program, initial, seed=seed, workers=workers, max_batch=max_batch
-    )
-    return BackendParallelism(available=available, measured=measured)
 
 
 @dataclass

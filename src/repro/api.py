@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Optional, Tuple
 
 __all__ = [
     "RuntimeConfig",
@@ -95,13 +95,12 @@ class RuntimeConfig:
     ------
     engine:
         Single-process engine name (``"sequential"``, ``"chaotic"``,
-        ``"max-parallel"``, ``"parallel"``).  Engine *instances* are not
+        ``"parallel"``).  Engine *instances* are not
         configuration — configure them directly and call their ``run``.
     compiled:
         Compiled reaction pipeline (default) or the interpreted baseline.
     parallel:
-        ``True`` selects the parallel superstep engine; an int additionally
-        sets its production-evaluation worker count.  ``False`` is
+        ``True`` selects the parallel superstep engine.  ``False`` is
         normalized to unset.
     columnar:
         Vectorized columnar execution where supported.  ``False`` is
@@ -141,7 +140,7 @@ class RuntimeConfig:
 
     engine: Optional[str] = None
     compiled: Optional[bool] = None
-    parallel: Union[None, bool, int] = None
+    parallel: Optional[bool] = None
     columnar: Optional[bool] = None
     backend: Optional[str] = None
     shards: Optional[int] = None
@@ -217,6 +216,10 @@ class RuntimeConfig:
 
         engine = self.engine
         if self.parallel is not None:
+            if self.parallel is not True:
+                raise ValueError(
+                    f"parallel must be True, False or None, got {self.parallel!r}"
+                )
             if engine not in (None, "sequential", "parallel"):
                 raise ValueError(
                     f"parallel={self.parallel!r} selects the 'parallel' engine "

@@ -40,7 +40,7 @@ __all__ = [
     "check_roundtrip",
 ]
 
-DEFAULT_ENGINES: Tuple[str, ...] = ("sequential", "chaotic", "max-parallel")
+DEFAULT_ENGINES: Tuple[str, ...] = ("sequential", "chaotic", "parallel")
 DEFAULT_SEEDS: Tuple[int, ...] = (0, 1, 2)
 
 

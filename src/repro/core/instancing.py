@@ -6,9 +6,12 @@ instance.  This module implements that mapping and the iterative driver the
 paper describes ("the produced elements have to be connected to the dataflow
 graph until the reactions finish their processing"):
 
-* :func:`instantiate_round` finds a maximal set of disjoint reaction matches
-  in the current multiset and builds one dataflow graph containing one
-  instance of the corresponding reaction graph per match — exactly the
+* :func:`instantiate_round` takes one superstep of disjoint reaction matches
+  in the current multiset (the ``(tuple, k)`` decisions of
+  :meth:`~repro.gamma.scheduler.ReactionScheduler.collect_superstep_matches`)
+  and builds one dataflow graph containing one instance of the corresponding
+  reaction graph per *firing* — a decision of multiplicity k is k instances,
+  since each instance consumes one copy of its tuple — exactly the
   replication of Fig. 4;
 * :func:`execute_via_dataflow` repeats such rounds, running each combined
   graph with the dataflow interpreter and feeding the produced elements back
@@ -25,14 +28,12 @@ the tagged data between rounds).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional
 
 from ..dataflow.graph import DataflowGraph
 from ..dataflow.interpreter import DataflowInterpreter, DataflowResult
-from ..gamma.expr import Const
 from ..gamma.matching import Match
-from ..gamma.pattern import ElementTemplate
 from ..gamma.program import GammaProgram
 from ..gamma.scheduler import greedy_disjoint_matches
 from ..multiset.element import Element
@@ -51,7 +52,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InstanceInfo:
-    """One replicated reaction-graph instance and the match that fills its roots."""
+    """One replicated reaction-graph instance and the match that fills its roots.
+
+    ``match.times`` is always 1: an instance is one firing.
+    """
 
     prefix: str
     reaction_name: str
@@ -60,7 +64,7 @@ class InstanceInfo:
 
 @dataclass
 class InstancedGraph:
-    """A combined graph holding one instance per disjoint match (Fig. 4)."""
+    """A combined graph holding one instance per disjoint firing (Fig. 4)."""
 
     graph: DataflowGraph
     instances: List[InstanceInfo]
@@ -86,13 +90,6 @@ class DataflowEmulationResult:
         return self.final.values_with_label(label)
 
 
-def _disjoint_matches(
-    program: GammaProgram, multiset: Multiset, rng: Optional[random.Random]
-) -> List[Match]:
-    """A maximal set of matches that consume disjoint element occurrences."""
-    return greedy_disjoint_matches(program.reactions, multiset, rng=rng)
-
-
 def instantiate_round(
     program: GammaProgram,
     multiset: Multiset,
@@ -101,28 +98,31 @@ def instantiate_round(
 ) -> Optional[InstancedGraph]:
     """Build the Fig. 4 replication for one round, or ``None`` if nothing matches."""
     graphs = graphs if graphs is not None else program_to_graphs(program)
-    matches = _disjoint_matches(program, multiset, rng)
-    if not matches:
+    decisions = greedy_disjoint_matches(program.reactions, multiset, rng=rng)
+    if not decisions:
         return None
     combined = DataflowGraph(name=f"instanced({program.name})")
     instances: List[InstanceInfo] = []
     consumed_total = Multiset()
-    for index, match in enumerate(matches):
-        prefix = f"i{index}_"
+    for decision in decisions:
+        match = replace(decision, times=1)
         reaction_graph = graphs[match.reaction.name]
         values = [element.value for element in match.consumed]
-        instance = reaction_graph.instantiate(values, prefix)
-        for node in instance.nodes:
-            combined.add_node(node)
-        for edge in instance.edges:
-            combined.add_edge(
-                edge.src, edge.dst, edge.label, src_port=edge.src_port, dst_port=edge.dst_port
+        for _ in range(decision.times):
+            prefix = f"i{len(instances)}_"
+            instance = reaction_graph.instantiate(values, prefix)
+            for node in instance.nodes:
+                combined.add_node(node)
+            for edge in instance.edges:
+                combined.add_edge(
+                    edge.src, edge.dst, edge.label,
+                    src_port=edge.src_port, dst_port=edge.dst_port,
+                )
+            instances.append(
+                InstanceInfo(prefix=prefix, reaction_name=match.reaction.name, match=match)
             )
-        instances.append(
-            InstanceInfo(prefix=prefix, reaction_name=match.reaction.name, match=match)
-        )
-        for element in match.consumed:
-            consumed_total.add(element)
+            for element in match.consumed:
+                consumed_total.add(element)
     leftover = multiset - consumed_total
     return InstancedGraph(graph=combined, instances=instances, leftover=leftover)
 
@@ -176,7 +176,7 @@ def execute_via_dataflow(
         raise ValueError("an initial multiset is required")
     multiset = multiset.copy()
     graphs = program_to_graphs(program, recognize_idioms=recognize_idioms)
-    rng = random.Random(seed)
+    rng = random.Random(seed) if seed is not None else None
     rounds = 0
     total_instances = 0
     total_firings = 0

@@ -45,7 +45,7 @@ def roundtrip_dataflow(
     graph: DataflowGraph,
     root_values: Optional[Dict[str, object]] = None,
     seeds: Sequence[int] = (0, 1, 2),
-    engines: Sequence[str] = ("sequential", "chaotic", "max-parallel"),
+    engines: Sequence[str] = ("sequential", "chaotic", "parallel"),
 ) -> RoundTripArtifacts:
     """dataflow → Gamma → dataflow, with equivalence verdicts at every hop.
 

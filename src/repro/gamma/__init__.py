@@ -14,7 +14,6 @@ from .engine import (
     ChaoticEngine,
     ExecutionResult,
     GammaEngine,
-    MaxParallelEngine,
     NonTerminationError,
     ParallelEngine,
     SequentialEngine,
@@ -29,7 +28,6 @@ from .compiled import (
     compile_cache_info,
     compile_expr,
     compile_reaction,
-    evaluate_productions,
 )
 from .expr import BinOp, BoolOp, Compare, Const, EvaluationError, Expr, Not, Var, const, var
 from .matching import Match, Matcher, find_match, iter_matches
@@ -58,10 +56,10 @@ __all__ = [
     "ReactionScheduler", "greedy_disjoint_matches",
     # reaction compilation
     "CompiledReaction", "CompiledMatch", "MatchPlan", "CompilationError",
-    "compile_reaction", "compile_expr", "compile_cache_info", "evaluate_productions",
+    "compile_reaction", "compile_expr", "compile_cache_info",
     # engines
-    "GammaEngine", "SequentialEngine", "ChaoticEngine", "MaxParallelEngine",
-    "ParallelEngine", "ExecutionResult", "NonTerminationError", "run", "run_program",
+    "GammaEngine", "SequentialEngine", "ChaoticEngine", "ParallelEngine",
+    "ExecutionResult", "NonTerminationError", "run", "run_program",
     # tracing
     "Trace", "StepRecord", "FiringRecord",
     # columnar vectorized kernel

@@ -130,7 +130,6 @@ __all__ = [
     "compile_cache_info",
     "compile_expr",
     "compile_reaction",
-    "evaluate_productions",
 ]
 
 
@@ -1181,18 +1180,6 @@ class CompiledReaction:
             f"CompiledReaction({self.reaction.name!r}, order={self.plan.order}, "
             f"slots={self.plan.slots})"
         )
-
-
-def evaluate_productions(matches: Sequence[Match]) -> List[List[Element]]:
-    """Evaluate the productions of ``matches`` (in order).
-
-    The unit of work the parallel engine ships to its
-    ``concurrent.futures`` workers: production evaluation is pure (compiled
-    closures over per-match binding dicts; no multiset access), so chunks of a
-    superstep batch can be evaluated concurrently and reassembled in match
-    order without affecting the trace.
-    """
-    return [match.produced() for match in matches]
 
 
 def compile_reaction(reaction: Reaction) -> CompiledReaction:

@@ -14,21 +14,17 @@ model leaves open:
   (reaction, match) pair each step from a seeded RNG.  This is the closest to
   the abstract chemical-machine metaphor and is what the equivalence tests
   sample over many seeds.
-* :class:`MaxParallelEngine` — simulated parallel: at each step collects a
-  maximal set of *non-conflicting* matches (no element occurrence consumed
-  twice) across all reactions and fires them simultaneously, like the
+* :class:`ParallelEngine` — maximal parallel: at each superstep collects a
+  maximal set of *non-conflicting* ``(tuple, k)`` matches (no element
+  occurrence consumed twice) across all reactions and fires them
+  simultaneously through one validation-free batched rewrite, like the
   Connection Machine / GPU implementations cited in the paper.  Its per-step
-  width is the Gamma-side parallelism profile used by experiment E9.
-* :class:`ParallelEngine` — *executed* parallel: the batched superstep
-  backend.  Each superstep extracts a maximal disjoint match set through the
-  compiled collectors, optionally evaluates productions on a
-  ``concurrent.futures`` worker pool, and fires the whole batch through one
-  validation-free batched rewrite.  Deterministic trace at any worker count.
+  width is the Gamma-side parallelism profile of experiment E9.
 
 Scheduler architecture
 ----------------------
 
-All three engines share one run loop (:meth:`GammaEngine._run_block`) built on
+All engines share one run loop (:meth:`GammaEngine._run_block`) built on
 the incremental :class:`~repro.gamma.scheduler.ReactionScheduler`:
 
 1. a :class:`~repro.multiset.index.LabelTagIndex` is *attached* to the run's
@@ -38,15 +34,18 @@ the incremental :class:`~repro.gamma.scheduler.ReactionScheduler`:
    parks reactions proven dead; after a firing, only reactions whose footprint
    intersects the labels touched by the rewrite are re-probed;
 3. subclasses provide only the *match selection policy*
-   (:meth:`GammaEngine._select_matches`): first-in-declaration-order,
-   first-in-shuffled-order, or a greedy maximal non-conflicting set.
+   (:meth:`GammaEngine._select_matches`): first-in-declaration-order or
+   first-in-shuffled-order; :class:`ParallelEngine` swaps in a superstep
+   drain over :meth:`~repro.gamma.scheduler.ReactionScheduler.collect_superstep_matches`.
 
 Reactions are additionally *compiled* before the run starts
 (:mod:`repro.gamma.compiled`): slot-based codegenned matchers, compiled
 guards/productions, and the validation-free ``rewrite_unchecked`` firing
 path.  ``compiled=False`` selects the interpreted matcher/guard baseline
-(bit-identical seeded traces on every identity-plan reaction set, which
-includes all paper workloads).
+(bit-identical traces on every identity-plan reaction set, which includes
+all paper workloads; a *seeded* parallel engine keeps the same finals and
+firing counts but not the schedule, because its interpreted collector draws
+per probe rather than per bucket).
 
 Every engine enforces a ``max_steps`` budget.  By default a diverging program
 (or a conversion bug) raises :class:`NonTerminationError` instead of hanging;
@@ -58,16 +57,13 @@ with ``raise_on_budget=False`` the engine instead returns the partial
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..api import RuntimeConfig
 
-from ..multiset.element import Element
 from ..multiset.multiset import Multiset
-from .compiled import evaluate_productions
 from .matching import Match, fire_batch
 from .program import GammaProgram, ProgramLike, SequentialProgram
 from .scheduler import ReactionScheduler
@@ -80,7 +76,6 @@ __all__ = [
     "GammaEngine",
     "SequentialEngine",
     "ChaoticEngine",
-    "MaxParallelEngine",
     "ParallelEngine",
     "run",
     "run_program",
@@ -387,58 +382,18 @@ class ChaoticEngine(GammaEngine):
         return [match] if match is not None else []
 
 
-class MaxParallelEngine(GammaEngine):
-    """Simulated parallel engine: a maximal set of non-conflicting firings per step.
-
-    Conflict detection is on element *occurrences*: two matches conflict when
-    together they would consume more copies of some element than the multiset
-    holds.  The greedy maximal set is built in randomized order so repeated
-    runs with different seeds explore different parallel schedules.
-    """
-
-    name = "max-parallel"
-
-    def __init__(
-        self,
-        seed: Optional[int] = None,
-        max_steps: int = DEFAULT_MAX_STEPS,
-        raise_on_budget: bool = True,
-        compiled: bool = True,
-        columnar: bool = False,
-    ) -> None:
-        super().__init__(
-            max_steps=max_steps,
-            raise_on_budget=raise_on_budget,
-            compiled=compiled,
-            columnar=columnar,
-        )
-        self.seed = seed
-        self._rng = random.Random(seed)
-
-    def _select_matches(self, scheduler: ReactionScheduler) -> List[Match]:
-        return scheduler.collect_step_matches()
-
-
 class ParallelEngine(GammaEngine):
-    """Batched superstep execution: fire a whole disjoint match set per step.
+    """Maximal-parallel supersteps: fire a whole disjoint match set per step.
 
-    The counting engines above *simulate* parallelism; this backend executes
-    it.  Each superstep:
+    Each superstep:
 
-    1. extracts a maximal disjoint set of ``(tuple, k)`` matches through the
-       scheduler's compiled superstep collectors
-       (:meth:`ReactionScheduler.collect_superstep_matches` — one bucket pass
+    1. extracts a maximal disjoint set of ``(tuple, k)`` matches through
+       :meth:`ReactionScheduler.collect_superstep_matches` (one bucket pass
        per reaction instead of one probe restart per firing, and one match
        per distinct tuple instead of one per copy: ``match.times`` says how
        often it fires);
-    2. evaluates the matches' compiled productions, once per match — inline
-       by default, or chunked across a ``concurrent.futures`` thread pool
-       when ``workers`` is given.  Production evaluation is pure, so chunks reassemble in match
-       order; note that for pure-Python productions the GIL serializes the
-       threads, so ``workers`` demonstrates the deterministic off-schedule
-       evaluation architecture (and suits free-threaded builds or productions
-       that release the GIL) rather than speeding up CPython today —
-       ``workers=None`` is the fast path;
+    2. evaluates each match's productions once (they are pure functions of
+       the binding);
     3. applies the whole batch through the validation-free
        :meth:`Multiset.rewrite_batch_unchecked` (two-phase, counted, batched
        change notifications), records every match — with its ``times`` —
@@ -447,15 +402,12 @@ class ParallelEngine(GammaEngine):
 
     Scheduling is deterministic: unseeded, reactions and candidates are probed
     in declaration/bucket order; with a ``seed``, probe order is drawn from a
-    private RNG stream that the worker pool never touches.  Either way the
-    firing sequence — and therefore the trace — is *identical at any worker
-    count*, which is what makes the differential tests able to pin this
-    backend against the sequential engines.
+    private RNG stream, so one seed always selects one schedule.  That is what
+    lets the differential tests pin this engine against the sequential ones.
 
-    ``max_batch`` caps the firings per superstep (the PE-budget constraint of
-    the runtime simulators); ``workers`` counts productions evaluators, not
-    match extractors — extraction is single-threaded by design, since it is
-    what defines the schedule.
+    ``max_batch`` caps the firings per superstep — the same budget the
+    PE-bounded :class:`~repro.runtime.gamma_simulator.GammaSimulator` passes
+    as its pool capacity.
     """
 
     name = "parallel"
@@ -463,7 +415,6 @@ class ParallelEngine(GammaEngine):
     def __init__(
         self,
         seed: Optional[int] = None,
-        workers: Optional[int] = None,
         max_batch: Optional[int] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         raise_on_budget: bool = True,
@@ -476,47 +427,15 @@ class ParallelEngine(GammaEngine):
             compiled=compiled,
             columnar=columnar,
         )
-        if workers is not None and workers <= 0:
-            raise ValueError("workers must be positive (or None for inline evaluation)")
         if max_batch is not None and max_batch <= 0:
             raise ValueError("max_batch must be positive (or None for unbounded)")
         self.seed = seed
-        self.workers = workers
         self.max_batch = max_batch
         # Unseeded runs stay on the deterministic probe order.  A seed costs
         # one shuffle per bucket snapshot per superstep on top of the same
         # scan (the collectors materialize that snapshot either way), so it
         # buys schedule diversity, not a different complexity class.
         self._rng = random.Random(seed) if seed is not None else None
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    # -- batched run loop ----------------------------------------------------------
-    def _run_block(
-        self, program: GammaProgram, multiset: Multiset, trace: Trace
-    ) -> Tuple[int, int, bool]:
-        try:
-            return super()._run_block(program, multiset, trace)
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        """Shut down the production-evaluation worker pool (idempotent).
-
-        Batch runs close automatically at the end of every block; the
-        streaming runtime holds one engine across many epochs and closes it
-        when the stream drains.
-        """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def _pool(self) -> Optional[ThreadPoolExecutor]:
-        """The lazily created worker pool (``None`` for inline evaluation)."""
-        if self.workers is None or self.workers <= 1:
-            return None
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        return self._executor
 
     def drain(
         self,
@@ -528,7 +447,6 @@ class ParallelEngine(GammaEngine):
         label: str = "<stream>",
     ) -> Tuple[int, int, bool]:
         """Superstep counterpart of :meth:`GammaEngine.drain` (same contract)."""
-        executor = self._pool()
         steps = 0
         firings = 0
         while True:
@@ -543,7 +461,7 @@ class ParallelEngine(GammaEngine):
             matches = scheduler.collect_superstep_matches(budget=self.max_batch)
             if not matches:
                 return steps, firings, True
-            produced_lists = self._evaluate_productions(matches, executor)
+            produced_lists = [match.produced() for match in matches]
             step = trace.begin_step()
             for match, produced in zip(matches, produced_lists):
                 trace.record(
@@ -559,21 +477,6 @@ class ParallelEngine(GammaEngine):
             )
             steps += 1
 
-    def _evaluate_productions(
-        self, matches: List[Match], executor: Optional[ThreadPoolExecutor]
-    ) -> List[List[Element]]:
-        """Productions of ``matches``, in match order, regardless of workers."""
-        assert self.workers is not None or executor is None
-        if executor is None or len(matches) < 2 * (self.workers or 1):
-            return evaluate_productions(matches)
-        workers: int = self.workers  # type: ignore[assignment]
-        chunk = (len(matches) + workers - 1) // workers
-        chunks = [matches[i : i + chunk] for i in range(0, len(matches), chunk)]
-        out: List[List[Element]] = []
-        for produced in executor.map(evaluate_productions, chunks):
-            out.extend(produced)
-        return out
-
     def _select_matches(self, scheduler: ReactionScheduler) -> List[Match]:
         # The batched drain() above replaces the base loop entirely.
         raise NotImplementedError("ParallelEngine uses its own superstep loop")
@@ -582,7 +485,6 @@ class ParallelEngine(GammaEngine):
 _ENGINES = {
     "sequential": SequentialEngine,
     "chaotic": ChaoticEngine,
-    "max-parallel": MaxParallelEngine,
     "parallel": ParallelEngine,
 }
 
@@ -595,7 +497,7 @@ def run(
     max_steps: Optional[int] = None,
     raise_on_budget: Optional[bool] = None,
     compiled: Optional[bool] = None,
-    parallel: Union[None, bool, int] = None,
+    parallel: Optional[bool] = None,
     columnar: Optional[bool] = None,
     config: Optional["RuntimeConfig"] = None,
 ):
@@ -701,12 +603,6 @@ def run(
         "compiled": True if cfg.compiled is None else cfg.compiled,
         "columnar": False if cfg.columnar is None else cfg.columnar,
     }
-    if cls is ParallelEngine:
-        kwargs["workers"] = (
-            cfg.parallel
-            if isinstance(cfg.parallel, int) and not isinstance(cfg.parallel, bool)
-            else None
-        )
     if cls is not SequentialEngine:
         kwargs["seed"] = cfg.seed
     return cls(**kwargs).run(program, initial)

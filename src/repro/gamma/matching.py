@@ -86,7 +86,7 @@ def fire_batch(
 
     Each match fires ``match.times`` times, but is *handled* once: its
     productions are evaluated once (``produced_lists[i]`` when the caller
-    already did, e.g. on a worker pool) and multiplied into ``{element:
+    already did, e.g. to record them in a trace) and multiplied into ``{element:
     copies}`` maps — keys in first-occurrence order — that go through one
     counted two-phase :meth:`Multiset.rewrite_batch_unchecked`.
     ``validate=True`` applies the same batch through the atomic, validating

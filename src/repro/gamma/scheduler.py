@@ -227,9 +227,10 @@ class ReactionScheduler:
     def collect_superstep_matches(self, budget: Optional[int] = None) -> List[Match]:
         """Greedy disjoint ``(tuple, k)`` match set for one parallel *superstep*.
 
-        Semantically this is :meth:`collect_step_matches` — a greedy set of
-        firings no two of which consume the same element occurrence — but
-        each returned match stands for ``match.times`` firings of its tuple:
+        The repo's one definition of a parallel step: a greedy maximal set of
+        firings no two of which consume the same element occurrence.  The
+        parallel engine, the PE-bounded simulator, Fig. 4 instancing and the
+        shard workers all call it.  Each returned match stands for ``match.times`` firings of its tuple:
         once a tuple is enabled it is fired as often as the copies still
         unclaimed this superstep afford (the minimum, over the objects it
         holds, of unclaimed copies // slots the object fills), so a solution
@@ -332,45 +333,6 @@ class ReactionScheduler:
         if not enabled:
             self._parked.add(i)
 
-    def collect_step_matches(self, budget: Optional[int] = None) -> List[Match]:
-        """Greedy maximal set of non-conflicting matches for one parallel step.
-
-        Matches are enumerated against the current multiset snapshot; a match
-        is accepted when the element copies it consumes are still available in
-        this step's budget of occurrences.  ``budget`` optionally caps the
-        number of accepted matches (the PE-pool constraint of the runtime
-        simulators).  Reactions with no match at all are parked.
-        """
-        available: Dict[Element, int] = dict(self.multiset.counts())
-        remaining = sum(available.values())
-        chosen: List[Match] = []
-        for i in self._probe_order(shuffled=self.rng is not None):
-            if i in self._parked:
-                continue
-            if budget is not None and len(chosen) >= budget:
-                break
-            reaction = self.reactions[i]
-            if remaining < reaction.arity:
-                continue
-            enabled = False
-            for match in self.matcher.iter_matches(reaction):
-                enabled = True
-                if budget is not None and len(chosen) >= budget:
-                    break
-                if remaining < reaction.arity:
-                    break
-                needed: Dict[Element, int] = {}
-                for element in match.consumed:
-                    needed[element] = needed.get(element, 0) + 1
-                if all(available.get(e, 0) >= c for e, c in needed.items()):
-                    for e, c in needed.items():
-                        available[e] -= c
-                        remaining -= c
-                    chosen.append(match)
-            if not enabled:
-                self._parked.add(i)
-        return chosen
-
 
 def greedy_disjoint_matches(
     program_reactions: Sequence[Reaction],
@@ -378,14 +340,16 @@ def greedy_disjoint_matches(
     rng: Optional[random.Random] = None,
     budget: Optional[int] = None,
 ) -> List[Match]:
-    """One-shot greedy maximal disjoint match set (no persistent scheduler).
+    """One-shot superstep: :meth:`ReactionScheduler.collect_superstep_matches`
+    against a snapshot, without a persistent scheduler.
 
-    Convenience for callers that only need a single parallel step against a
-    snapshot (conversion instancing, ad-hoc analyses); long-running loops
-    should hold a :class:`ReactionScheduler` instead.
+    Convenience for callers that only need a single parallel step
+    (conversion instancing, ad-hoc analyses); long-running loops should hold
+    a :class:`ReactionScheduler` instead.  Matches carry multiplicity
+    (``match.times``), and ``budget`` caps firings, not matches.
     """
     scheduler = ReactionScheduler(program_reactions, multiset, rng=rng)
     try:
-        return scheduler.collect_step_matches(budget=budget)
+        return scheduler.collect_superstep_matches(budget=budget)
     finally:
         scheduler.detach()

@@ -6,7 +6,7 @@ it produced.  Traces serve three purposes in the reproduction:
 * the equivalence checker cross-references Gamma traces with dataflow firing
   logs (each converted reaction firing corresponds to one node firing);
 * the parallelism analysis (experiment E9) reads the per-step firing counts
-  of the simulated-parallel scheduler to build parallelism profiles;
+  of the parallel engine to build parallelism profiles;
 * the memoization analysis (DF-DTM-style trace reuse, one of the benefits the
   paper cites) detects repeated (reaction, consumed-values) pairs.
 """

@@ -1,18 +1,16 @@
 """Discrete-step multi-PE simulator for Gamma programs.
 
-The :class:`~repro.gamma.engine.MaxParallelEngine` measures the parallelism
-*available* in a Gamma execution (unbounded simultaneous firings).  The
-simulator here adds the resource constraint of a fixed PE pool — each PE
-performs at most one reaction firing per step — which is what the parallel
-Gamma implementations cited by the paper (Connection Machine, MasPar, MPI,
-GPU) actually provide.  Together with
+A step is one superstep of
+:meth:`~repro.gamma.scheduler.ReactionScheduler.collect_superstep_matches` —
+the same collector the :class:`~repro.gamma.engine.ParallelEngine` and the
+shard workers fire — with the PE pool's capacity as the firing budget.  Each
+PE performs at most one reaction firing per step, so a ``(tuple, k)``
+decision occupies k PEs; that is the resource constraint the parallel Gamma
+implementations cited by the paper (Connection Machine, MasPar, MPI, GPU)
+provide.  ``num_pes=None`` is the unbounded pool: the parallelism *available*
+in the execution.  Together with
 :class:`~repro.runtime.df_simulator.DataflowSimulator` it gives both sides of
 the experiment E9 comparison the same cost model.
-
-Like the engines, the simulator runs on a persistent
-:class:`~repro.gamma.scheduler.ReactionScheduler` — one incrementally
-maintained label/tag index per run plus dirty-label rematching — instead of
-rebuilding a matcher every step.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..api import RuntimeConfig
 
 from ..gamma.engine import NonTerminationError
+from ..gamma.matching import fire_batch
 from ..gamma.program import GammaProgram
 from ..gamma.scheduler import ReactionScheduler
 from ..multiset.multiset import Multiset
@@ -65,12 +64,10 @@ class GammaSimulator:
         self.num_pes = num_pes
         self.max_steps = max_steps
         self.compiled = compiled
-        # The simulator always draws from an RNG (even unseeded), and the
-        # columnar sweeps only engage on deterministic schedulers — so this
-        # flag attaches the mirror for API uniformity but collection stays
-        # on the object path.
         self.columnar = columnar
-        self._rng = random.Random(seed)
+        # As in the parallel engine: unseeded runs probe in declaration and
+        # bucket order, a seed draws one permutation per bucket per step.
+        self._rng = random.Random(seed) if seed is not None else None
 
     def run(self, initial: Optional[Multiset] = None) -> GammaSimulationResult:
         """Run to the stable state under the PE constraint."""
@@ -88,15 +85,6 @@ class GammaSimulator:
             compiled=self.compiled,
             columnar=self.columnar,
         )
-        # Matches are availability-verified by the scheduler, so the compiled
-        # path may skip replace()'s atomic pre-validation; the whole step's
-        # disjoint firings go through one batched (superstep) rewrite.  Final
-        # counts match firing one by one; bucket insertion order can differ
-        # only when a step consumes an element it also produces (see
-        # rewrite_batch_unchecked), which for seeded runs may pick a
-        # different — equally valid — schedule thereafter.
-        apply_batch = multiset.rewrite_batch_unchecked if self.compiled else multiset.replace
-
         try:
             while True:
                 if steps >= self.max_steps:
@@ -104,17 +92,14 @@ class GammaSimulator:
                         f"gamma simulation exceeded {self.max_steps} steps on {self.program.name!r}"
                     )
                 scheduler.refresh()
-                matches = scheduler.collect_step_matches(budget=pool.capacity())
+                matches = scheduler.collect_superstep_matches(budget=pool.capacity())
                 if not matches:
                     break
-                scheduled = pool.dispatch(matches)
-                removed: List = []
-                added: List = []
-                for match in scheduled:
-                    removed.extend(match.consumed)
-                    added.extend(match.produced())
-                apply_batch(removed, added)
-                total_firings += len(scheduled)
+                # The budget already fits the batch to the pool's capacity.
+                pool.dispatch(matches, units=lambda match: match.times)
+                total_firings += fire_batch(
+                    multiset, matches, validate=not self.compiled
+                )
                 steps += 1
         finally:
             scheduler.detach()

@@ -377,7 +377,7 @@ class StreamingGammaRuntime:
         this is how injection interleaves with long stabilizations.
     max_steps:
         Total step/round budget across the whole stream (divergence guard).
-    workers / max_batch:
+    max_batch:
         Forwarded to :class:`~repro.gamma.engine.ParallelEngine`
         (``backend="parallel"`` only).
     compiled:
@@ -426,7 +426,6 @@ class StreamingGammaRuntime:
         epoch_limit: Optional[int] = None,
         steps_per_epoch: Optional[int] = None,
         max_steps: Optional[int] = None,
-        workers: Optional[int] = None,
         max_batch: Optional[int] = None,
         compiled: Optional[bool] = None,
         columnar: Optional[bool] = None,
@@ -443,7 +442,7 @@ class StreamingGammaRuntime:
         keywords still work but emit a ``DeprecationWarning`` and cannot be
         combined with ``config``.  Stream-plumbing arguments (``queue``,
         ``queue_capacity``, ``epoch_limit``, ``steps_per_epoch``,
-        ``workers``, ``max_batch``) are not configuration — they stay
+        ``max_batch``) are not configuration — they stay
         keywords on either path.
         """
         from ..api import RuntimeConfig, _legacy_names, _reject_config_mix, _warn_legacy
@@ -495,7 +494,6 @@ class StreamingGammaRuntime:
         self.epoch_limit = epoch_limit
         self.steps_per_epoch = steps_per_epoch
         self.max_steps = 1_000_000 if cfg.max_steps is None else cfg.max_steps
-        self.workers = workers
         self.max_batch = max_batch
         self.compiled = True if cfg.compiled is None else cfg.compiled
         self.columnar = bool(cfg.columnar)
@@ -568,7 +566,6 @@ class StreamingGammaRuntime:
             )
         return ParallelEngine(
             seed=self.seed,
-            workers=self.workers,
             max_batch=self.max_batch,
             compiled=self.compiled,
             columnar=self.columnar,
@@ -583,8 +580,6 @@ class StreamingGammaRuntime:
             self._gateway.close()
         if self._scheduler is not None:
             self._scheduler.detach()
-        if isinstance(self._engine, ParallelEngine):
-            self._engine.close()
         if self._session is not None:
             try:
                 # Capture the final state before the workers go away, so

@@ -146,43 +146,6 @@ class TestReportFormatting:
         assert "Experiment" in section("Experiment")
 
 
-class TestBackendParallelism:
-    def test_measured_matches_available_on_reductions(self):
-        from repro.analysis import compare_backend_parallelism
-
-        program = sum_reduction()
-        initial = values_multiset(range(1, 33))
-        # Seeded: the unseeded counting model's enumeration order can strand
-        # a duplicate-value pair (~0.3% of entropy seeds take one extra
-        # step), which is noise, not what this test pins.
-        comparison = compare_backend_parallelism(program, initial, seed=0)
-        # The greedy superstep backend realizes the full counted width of a
-        # guard-free fold: same work, same steps, realization 1.
-        assert comparison.measured.work == comparison.available.work == 31
-        assert comparison.realization == pytest.approx(1.0)
-
-    def test_max_batch_bounds_measured_profile(self):
-        from repro.analysis import measured_parallelism
-
-        program = sum_reduction()
-        initial = values_multiset(range(1, 33))
-        metrics = measured_parallelism(program, initial, max_batch=4)
-        assert metrics.max_parallelism <= 4
-        assert metrics.num_pes == 4
-        assert metrics.work == 31
-
-    def test_as_rows_shape(self):
-        from repro.analysis import compare_backend_parallelism
-
-        comparison = compare_backend_parallelism(
-            min_element(), values_multiset([4, 8, 1, 6])
-        )
-        rows = comparison.as_rows()
-        assert [r[0] for r in rows] == [
-            "steps", "work", "max_parallelism", "average_parallelism", "speedup",
-        ]
-
-
 class TestShardingAnalysis:
     def test_shard_balance_even_and_skewed(self):
         from repro.analysis import shard_balance

@@ -25,7 +25,7 @@ from repro.workloads.paper_examples import example1_graph, example2_graph
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
 #: The single-process scheduling-policy engines accepted by ``run(engine=...)``.
-ENGINE_NAMES = ("sequential", "chaotic", "max-parallel")
+ENGINE_NAMES = ("sequential", "chaotic", "parallel")
 
 
 @pytest.fixture(params=ENGINE_NAMES)

@@ -119,5 +119,5 @@ class TestEquivalenceOnGeneratedWorkloads:
         graph = random_expression_graph(
             ExpressionSpec(num_inputs=3, num_operations=10, num_outputs=3, seed=7)
         )
-        report = check_dataflow_vs_gamma(graph, seeds=(0,), engines=("max-parallel",))
+        report = check_dataflow_vs_gamma(graph, seeds=(0,), engines=("parallel",))
         assert report.passed

@@ -117,7 +117,7 @@ class TestBehaviouralEquivalence:
     def test_equivalence_report(self):
         report = check_dataflow_vs_gamma(example2_graph(), seeds=(0, 1, 2))
         assert report.passed, report.summary()
-        assert len(report.outcomes) == 7  # sequential + 3 chaotic + 3 max-parallel
+        assert len(report.outcomes) == 7  # sequential + 3 chaotic + 3 parallel
 
     def test_zero_trip_loop(self):
         graph = example2_graph(y=5, z=0, x=42)

@@ -10,7 +10,7 @@ from repro.core import (
     program_to_graphs,
 )
 from repro.dataflow import run_graph
-from repro.gamma import run
+from repro.gamma import ParallelEngine, run
 from repro.gamma.stdlib import (
     gcd_program,
     min_element,
@@ -56,6 +56,20 @@ class TestFig4Instancing:
         ids = [n.node_id for n in instanced.graph.nodes]
         assert len(ids) == len(set(ids))
 
+    def test_multiplicity_expands_into_one_instance_per_firing(self):
+        # 3 x 1, 5 x 2, 4 x 3 under min_element: the superstep decides
+        # ((1, 2), 3) and ((2, 3), 2) — five firings, so five instances.
+        multiset = values_multiset([1] * 3 + [2] * 5 + [3] * 4)
+        instanced = instantiate_round(min_element(), multiset)
+        assert instanced.num_instances == 5
+        assert all(info.match.times == 1 for info in instanced.instances)
+        assert sorted(e.value for e in instanced.leftover) == [3, 3]
+        ids = [n.node_id for n in instanced.graph.nodes]
+        assert len(ids) == len(set(ids))
+        result = run_graph(instanced.graph)
+        produced = sorted(t.value for tokens in result.outputs.values() for t in tokens)
+        assert produced == [1, 1, 1, 2, 2]
+
     def test_precomputed_graphs_are_reused(self):
         program = sum_reduction()
         graphs = program_to_graphs(program)
@@ -98,6 +112,15 @@ class TestExecutionViaDataflow:
         assert emulated.final.restrict_labels(["Cout"]).values_with_label("Cout") == [
             example2_expected_result(y=3, z=4, x=1)
         ]
+
+    def test_copy_heavy_emulation_fires_like_the_parallel_engine(self):
+        initial = values_multiset([v for v in range(1, 9) for _ in range(25)])
+        emulated = execute_via_dataflow(min_element(), initial)
+        native = run(min_element(), initial, config=RuntimeConfig(engine="sequential"))
+        executed = ParallelEngine().run(min_element(), initial)
+        assert emulated.final == native.final == executed.final
+        assert emulated.total_instances == executed.firings == 175
+        assert emulated.rounds == executed.steps
 
     def test_keep_graphs_records_rounds(self):
         emulated = execute_via_dataflow(

@@ -10,8 +10,8 @@ import pytest
 from repro.gamma import (
     ChaoticEngine,
     GammaProgram,
-    MaxParallelEngine,
     NonTerminationError,
+    ParallelEngine,
     SequentialEngine,
     run,
 )
@@ -105,7 +105,7 @@ class TestEngineSpecifics:
         assert [f.consumed for f in a.trace.firings()] == [f.consumed for f in b.trace.firings()]
 
     def test_max_parallel_profile_matches_binary_tree(self):
-        result = MaxParallelEngine(seed=1).run(sum_reduction(), values_multiset(range(1, 17)))
+        result = ParallelEngine(seed=1).run(sum_reduction(), values_multiset(range(1, 17)))
         assert result.trace.parallelism_profile() == [8, 4, 2, 1]
         assert result.firings == 15
         assert result.steps == 4
@@ -113,7 +113,7 @@ class TestEngineSpecifics:
     def test_max_parallel_respects_conflicts(self):
         # Two reactions over the same single pair of elements cannot both fire.
         program = min_element() | max_element()
-        result = MaxParallelEngine(seed=0).run(program, values_multiset([3, 8]))
+        result = ParallelEngine(seed=0).run(program, values_multiset([3, 8]))
         assert result.trace.steps[0].width == 1
 
     def test_sequential_one_firing_per_step(self):

@@ -45,20 +45,17 @@ class TestParallelEngine:
         assert profile[0] == 32
         assert profile == sorted(profile, reverse=True)
 
-    def test_trace_identical_across_worker_counts(self):
+    def test_seeded_runs_are_repeatable(self):
         workload = make_workload("min_element", size=40, seed=9)
         reference = ParallelEngine(seed=5).run(workload.program, workload.initial)
-        for workers in (1, 2, 4, 8):
-            other = ParallelEngine(seed=5, workers=workers).run(
-                workload.program, workload.initial
-            )
-            assert _trace_key(other) == _trace_key(reference)
-            assert other.final == reference.final
+        other = ParallelEngine(seed=5).run(workload.program, workload.initial)
+        assert _trace_key(other) == _trace_key(reference)
+        assert other.final == reference.final
 
     def test_unseeded_runs_are_deterministic(self):
         workload = make_workload("exchange_sort", size=12, seed=2)
         first = ParallelEngine().run(workload.program, workload.initial)
-        second = ParallelEngine(workers=3).run(workload.program, workload.initial)
+        second = ParallelEngine().run(workload.program, workload.initial)
         assert _trace_key(first) == _trace_key(second)
 
     def test_max_batch_caps_superstep_width(self):
@@ -102,8 +99,6 @@ class TestParallelEngine:
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
-            ParallelEngine(workers=0)
-        with pytest.raises(ValueError):
             ParallelEngine(max_batch=0)
 
 
@@ -114,11 +109,12 @@ class TestRunParallelWiring:
         assert result.engine == "parallel"
         assert result.values_with_label("x") == workload.expected_values
 
-    def test_parallel_int_sets_worker_count_without_changing_the_trace(self):
+    def test_parallel_is_a_flag_not_a_worker_count(self):
         workload = make_workload("min_element", size=16, seed=3)
-        inline = run(workload.program, workload.initial, config=RuntimeConfig(parallel=True, seed=7))
-        pooled = run(workload.program, workload.initial, config=RuntimeConfig(parallel=4, seed=7))
-        assert _trace_key(inline) == _trace_key(pooled)
+        with pytest.raises(ValueError, match="parallel must be True, False or None"):
+            run(workload.program, workload.initial, config=RuntimeConfig(parallel=4, seed=7))
+        with pytest.raises(TypeError, match="workers"):
+            ParallelEngine(workers=2)
 
     def test_parallel_false_is_the_sequential_default(self):
         workload = make_workload("min_element", size=16, seed=3)
@@ -145,9 +141,9 @@ class TestRunParallelWiring:
     def test_parallel_conflicts_with_other_engines(self):
         workload = make_workload("min_element", size=8, seed=0)
         with pytest.raises(ValueError, match="parallel"):
-            run(workload.program, workload.initial, config=RuntimeConfig(engine="chaotic", parallel=2))
+            run(workload.program, workload.initial, config=RuntimeConfig(engine="chaotic", parallel=True))
         with pytest.raises(ValueError, match="parallel"):
-            run(workload.program, workload.initial, engine=ParallelEngine(), parallel=2)
+            run(workload.program, workload.initial, engine=ParallelEngine(), parallel=True)
 
 
 class TestSuperstepCollection:

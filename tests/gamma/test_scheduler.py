@@ -10,8 +10,8 @@ import pytest
 from repro.gamma import (
     ChaoticEngine,
     GammaProgram,
-    MaxParallelEngine,
     NonTerminationError,
+    ParallelEngine,
     ReactionScheduler,
     SequentialEngine,
     greedy_disjoint_matches,
@@ -124,7 +124,7 @@ class TestRunArgumentConflicts:
             )
 
     def test_engine_instance_without_conflicts_accepted(self):
-        result = run(sum_reduction(), values_multiset([1, 2, 3]), engine=MaxParallelEngine(seed=0))
+        result = run(sum_reduction(), values_multiset([1, 2, 3]), engine=ParallelEngine(seed=0))
         assert result.final.values_with_label("x") == [6]
 
     def test_named_engine_still_accepts_everything(self):
@@ -165,6 +165,6 @@ class TestBudgetModes:
 
     def test_run_loop_leaves_no_listeners_behind(self):
         initial = values_multiset([4, 1, 3])
-        for engine in (SequentialEngine(), ChaoticEngine(seed=0), MaxParallelEngine(seed=0)):
+        for engine in (SequentialEngine(), ChaoticEngine(seed=0), ParallelEngine(seed=0)):
             result = engine.run(min_element(), initial)
             assert result.final._listeners == ()

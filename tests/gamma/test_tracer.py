@@ -1,7 +1,7 @@
 """Unit tests for execution traces."""
 
 from repro.analysis.reaction_graph import flow_weights, hot_label_report
-from repro.gamma import MaxParallelEngine, ParallelEngine, run
+from repro.gamma import ParallelEngine, run
 from repro.gamma.stdlib import min_element, sum_reduction, values_multiset
 from repro.gamma.tracer import Trace
 from repro.api import RuntimeConfig
@@ -20,12 +20,12 @@ class TestTraceRecording:
         assert result.trace.firings_of("other") == []
 
     def test_steps_vs_firings_parallel(self):
-        result = MaxParallelEngine(seed=0).run(sum_reduction(), values_multiset(range(1, 9)))
+        result = ParallelEngine(seed=0).run(sum_reduction(), values_multiset(range(1, 9)))
         assert result.trace.num_firings == 7
         assert result.trace.num_steps < 7
 
     def test_parallelism_profile_statistics(self):
-        result = MaxParallelEngine(seed=0).run(sum_reduction(), values_multiset(range(1, 9)))
+        result = ParallelEngine(seed=0).run(sum_reduction(), values_multiset(range(1, 9)))
         profile = result.trace.parallelism_profile()
         assert profile == [4, 2, 1]
         assert result.trace.max_parallelism() == 4

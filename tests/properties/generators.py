@@ -75,7 +75,7 @@ __all__ = [
 
 #: Backends the conformance suite sweeps (multiprocessing is swept separately
 #: with a smaller example budget — process startup dominates).
-BACKENDS = ("sequential", "chaotic", "max-parallel", "parallel", "inprocess")
+BACKENDS = ("sequential", "chaotic", "parallel", "inprocess")
 
 #: Shard counts the sharded backends are fuzzed at.
 SHARD_COUNTS = (1, 2, 3)

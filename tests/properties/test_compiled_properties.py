@@ -27,7 +27,7 @@ from repro.gamma import (
     ElementTemplate,
     GammaProgram,
     Matcher,
-    MaxParallelEngine,
+    ParallelEngine,
     Reaction,
     SequentialEngine,
     Var,
@@ -226,7 +226,7 @@ class TestEngineTraceBitIdentity:
         for cls, kwargs in (
             (SequentialEngine, {}),
             (ChaoticEngine, {"seed": seed}),
-            (MaxParallelEngine, {"seed": seed}),
+            (ParallelEngine, {}),
         ):
             fast = cls(
                 compiled=True, max_steps=60, raise_on_budget=False, **kwargs
@@ -251,7 +251,7 @@ class TestPaperWorkloadBitIdentity:
         for cls, kwargs in (
             (SequentialEngine, {}),
             (ChaoticEngine, {"seed": seed}),
-            (MaxParallelEngine, {"seed": seed}),
+            (ParallelEngine, {}),
         ):
             fast = cls(compiled=True, **kwargs).run(workload.program, workload.initial)
             base = cls(compiled=False, **kwargs).run(workload.program, workload.initial)

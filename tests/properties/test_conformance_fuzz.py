@@ -13,7 +13,7 @@ with a single differential harness.  Two input sources drive it:
   keeping the old coverage alive in one place.
 
 The pinned contract: for any program × initial multiset × seed, every
-backend — sequential, chaotic, max-parallel, parallel supersteps, sharded
+backend — sequential, chaotic, parallel supersteps, sharded
 in-process, sharded multiprocessing, sharded over loopback TCP — reaches
 exactly the stable multiset the sequential compiled engine computes.  A
 second property extends the contract to the streaming runtime: after a
@@ -125,19 +125,18 @@ class TestWorkloadConformance:
         name=st.sampled_from(WORKLOADS),
         size=st.integers(min_value=2, max_value=20),
         engine_seed=seeds,
-        workers=st.sampled_from([None, 2, 4]),
         max_batch=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
     )
     @settings(max_examples=30, deadline=None)
     def test_parallel_engine_options_do_not_change_the_stable_multiset(
-        self, name, size, engine_seed, workers, max_batch
+        self, name, size, engine_seed, max_batch
     ):
-        """Worker pools and batch caps explore schedules, never results."""
+        """Seeds and batch caps explore schedules, never results."""
         workload = make_workload(name, size=size, seed=1)
         reference = _reference(workload.program, workload.initial)
-        parallel = ParallelEngine(
-            seed=engine_seed, workers=workers, max_batch=max_batch
-        ).run(workload.program, workload.initial)
+        parallel = ParallelEngine(seed=engine_seed, max_batch=max_batch).run(
+            workload.program, workload.initial
+        )
         assert parallel.stable
         assert parallel.final == reference
 
@@ -414,7 +413,7 @@ class TestStreamingConformance:
 
 #: Engine backends that accept ``run(columnar=True)`` (the sharded backends
 #: use the columnar layer for their wire format, not for scheduling).
-COLUMNAR_BACKENDS = ("sequential", "chaotic", "max-parallel", "parallel")
+COLUMNAR_BACKENDS = ("sequential", "chaotic", "parallel")
 
 
 def _trace_fingerprint(result):

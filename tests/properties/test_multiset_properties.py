@@ -60,7 +60,7 @@ class TestGammaEngineProperties:
     @given(
         values=st.lists(st.integers(min_value=-100, max_value=100), min_size=1, max_size=15),
         seed=st.integers(min_value=0, max_value=1000),
-        engine=st.sampled_from(["sequential", "chaotic", "max-parallel"]),
+        engine=st.sampled_from(["sequential", "chaotic", "parallel"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_min_max_sum_invariants(self, values, seed, engine):

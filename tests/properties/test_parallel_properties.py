@@ -7,12 +7,16 @@ conformance fuzz suite (``test_conformance_fuzz.py``).  This module keeps
 the property the fuzz suite cannot express by comparing final states alone:
 
 * **determinism** — a seeded superstep trace is a pure function of the seed
-  and batch cap: worker counts (production evaluation) never affect it.
+  and batch cap;
+* **one superstep notion** — the PE-bounded counting model
+  (:class:`GammaSimulator` with ``num_pes = max_batch``) steps through the
+  very schedule the executing engine fires, width for width.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.gamma import ParallelEngine
+from repro.runtime import GammaSimulator
 from repro.workloads import make_workload
 
 #: Confluent classics: every valid schedule reaches the same stable multiset.
@@ -41,16 +45,20 @@ def _trace_key(result):
     engine_seed=st.integers(min_value=0, max_value=999),
     max_batch=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
 )
-def test_seeded_superstep_traces_ignore_worker_count(
+def test_seeded_superstep_trace_is_a_function_of_seed_and_budget(
     name, size, engine_seed, max_batch
 ):
     workload = make_workload(name, size=size, seed=1)
-    reference = None
-    for workers in (None, 1, 3):
-        result = ParallelEngine(
-            seed=engine_seed, workers=workers, max_batch=max_batch
-        ).run(workload.program, workload.initial)
-        key = (_trace_key(result), result.final)
-        if reference is None:
-            reference = key
-        assert key == reference
+    first, second = (
+        ParallelEngine(seed=engine_seed, max_batch=max_batch).run(
+            workload.program, workload.initial
+        )
+        for _ in range(2)
+    )
+    assert (_trace_key(first), first.final) == (_trace_key(second), second.final)
+    simulated = GammaSimulator(
+        workload.program, num_pes=max_batch, seed=engine_seed
+    ).run(workload.initial)
+    assert simulated.metrics.profile == first.parallelism_profile()
+    assert simulated.total_firings == first.firings
+    assert simulated.final == first.final

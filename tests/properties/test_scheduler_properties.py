@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 import repro.gamma.engine as engine_module
 from repro.gamma import (
     ChaoticEngine,
-    MaxParallelEngine,
     ParallelEngine,
     SequentialEngine,
     run,
@@ -123,7 +122,7 @@ class TestCrossEngineObservableEquivalence:
         workload = make_workload(workload_name, size=16, seed=11)
         finals = set()
         for seed in SEEDS:
-            for engine in ("sequential", "chaotic", "max-parallel"):
+            for engine in ("sequential", "chaotic", "parallel"):
                 result = run(workload.program, workload.initial, config=RuntimeConfig(engine=engine, seed=seed))
                 assert result.stable
                 finals.add(result.final)
@@ -177,7 +176,6 @@ class TestSchedulerAgreesWithRebuild:
         engines = (
             lambda: SequentialEngine(),
             lambda: ChaoticEngine(seed=seed),
-            lambda: MaxParallelEngine(seed=seed),
             lambda: ParallelEngine(seed=seed),
         )
         for make_engine in engines:

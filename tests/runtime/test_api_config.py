@@ -112,6 +112,10 @@ def _legacy_run_unknown_engine(program, initial):
     run(program, initial, engine="bogus")
 
 
+def _legacy_run_parallel_worker_count(program, initial):
+    run(program, initial, parallel=2)
+
+
 def _legacy_distributed_unknown_backend(program, initial):
     DistributedGammaRuntime(program, 2, backend="bogus")
 
@@ -139,6 +143,13 @@ VALIDATION_MATRIX = [
         r"unknown engine 'bogus'",
         _legacy_run_unknown_engine,
         id="unknown-engine",
+    ),
+    pytest.param(
+        "engine",
+        RuntimeConfig(parallel=2),
+        r"parallel must be True, False or None, got 2",
+        _legacy_run_parallel_worker_count,
+        id="parallel-is-not-a-worker-count",
     ),
     pytest.param(
         "distributed",
@@ -374,9 +385,9 @@ class TestEveryModeReachableViaConfig:
         [
             RuntimeConfig(engine="sequential"),
             RuntimeConfig(engine="chaotic", seed=0),
-            RuntimeConfig(engine="max-parallel", seed=0),
+            RuntimeConfig(engine="parallel", seed=0),
             RuntimeConfig(parallel=True, seed=0),
-            RuntimeConfig(parallel=2, seed=0),
+            RuntimeConfig(parallel=True),
             RuntimeConfig(engine="sequential", compiled=False),
             RuntimeConfig(engine="sequential", columnar=True),
             RuntimeConfig(backend="inprocess", shards=2, seed=0),
@@ -396,7 +407,7 @@ class TestEveryModeReachableViaConfig:
             ),
         ],
         ids=[
-            "sequential", "chaotic", "max-parallel", "parallel", "parallel-workers",
+            "sequential", "chaotic", "parallel-by-name", "parallel", "parallel-unseeded",
             "interpreted", "columnar", "sharded", "sharded-multiprocessing",
             "sharded-recovery", "sharded-elastic",
         ],

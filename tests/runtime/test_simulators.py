@@ -1,9 +1,14 @@
 """Tests for the multi-PE simulators and the shared PE/metrics model."""
 
+import random
+
 import pytest
 
+from repro.analysis import compare_parallelism, gamma_parallelism
 from repro.core import dataflow_to_gamma
-from repro.gamma.stdlib import sum_reduction, values_multiset
+from repro.gamma import ParallelEngine
+from repro.gamma.stdlib import min_element, sum_reduction, values_multiset
+from repro.workloads import LOOP_KERNELS
 from repro.runtime import (
     DataflowSimulator,
     GammaSimulator,
@@ -53,6 +58,21 @@ class TestPEPool:
         assert pool.profile == [2, 2]
         assert pool.total_executed == 4
         assert sorted(pool.load_balance()) == [1, 1, 2]
+
+    def test_weighted_item_occupies_one_pe_per_firing(self):
+        # A superstep (tuple, k) decision is k unit-latency firings.
+        pool = PEPool(4)
+        units = {"a": 3, "b": 1, "c": 1}.get
+        assert pool.dispatch(["a", "b", "c"], units=units) == ["a", "b"]
+        assert pool.dispatch(["c"], units=units) == ["c"]
+        assert pool.profile == [4, 1]
+        assert pool.load_balance() == [2, 1, 1, 1]
+
+    def test_unbounded_pool_grows_to_the_weighted_width(self):
+        pool = PEPool(None)
+        assert pool.dispatch(["a", "b"], units={"a": 5, "b": 2}.get) == ["a", "b"]
+        assert pool.profile == [7]
+        assert pool.load_balance() == [1] * 7
 
 
 class TestMetrics:
@@ -169,3 +189,50 @@ class TestGammaSimulator:
     def test_missing_initial_rejected(self):
         with pytest.raises(ValueError):
             simulate_program(sum_reduction(), None)
+
+
+class TestOneSuperstepNotion:
+    """The counting model steps through the collector the engines fire."""
+
+    def test_copy_heavy_steps_match_the_parallel_engine(self):
+        # 2 000 values drawn from 1..50: each superstep fires every unclaimed
+        # copy of a tuple at once.  The per-copy enumerator this replaced
+        # needed 42 steps here, the superstep collector 6.
+        rng = random.Random(5)
+        initial = values_multiset([rng.randint(1, 50) for _ in range(2000)])
+        counted = gamma_parallelism(min_element(), initial, seed=1)
+        executed = ParallelEngine(seed=1).run(min_element(), initial)
+        assert counted.steps == executed.steps <= 7
+        assert counted.profile == executed.parallelism_profile()
+        assert counted.work == executed.firings == len(initial) - initial.count(
+            min(initial, key=lambda element: element.value)
+        )
+
+    def test_pe_budget_clips_decisions_to_firings(self):
+        initial = values_multiset([v for v in (1, 2, 3, 4) for _ in range(12)])
+        for pes in (1, 3, 7):
+            result = simulate_program(
+                min_element(), initial, num_pes=pes, config=RuntimeConfig(seed=2)
+            )
+            assert max(result.metrics.profile) == pes
+            assert result.total_firings == result.metrics.work == 36
+            assert result.final.values_with_label("x") == [1] * 12
+
+    def test_seeded_counting_model_draws_linearly(self, counting_rng):
+        # One permutation per bucket per step: ~2n draws over a fold of n
+        # distinct values.  Enumerating every enabled tuple per step, as the
+        # old counting model did, drew ~n^2 / 2 in the first step alone.
+        n = 2000
+        simulator = GammaSimulator(min_element(), seed=1)
+        simulator._rng = rng = counting_rng(1)
+        result = simulator.run(values_multiset(range(n)))
+        assert result.steps == 11 and result.total_firings == n - 1
+        assert rng.calls <= 4 * (n + result.total_firings)
+
+    @pytest.mark.parametrize("kernel", sorted(LOOP_KERNELS))
+    def test_e9_profiles_match_on_every_loop_kernel(self, kernel):
+        # Converted programs carry distinct tags, so every decision is k = 1
+        # and the paper's claim is unchanged: same work, same steps.
+        comparison = compare_parallelism(LOOP_KERNELS[kernel]().graph(), seed=0)
+        assert comparison.profiles_match
+        assert comparison.dataflow.profile == comparison.gamma.profile
