@@ -680,7 +680,8 @@ def _emit_collect_body(emitter: _MatcherEmitter, shuffled: bool) -> None:
     Only generated for plans whose every position has a known label (constant
     or bound by an earlier position): each level is then exactly one bucket
     loop, which the break/continue cascade below requires.  Unknown-label
-    plans fall back to the scheduler's accounting loop over ``iter_matches``.
+    plans fall back to the interpreted twin, :meth:`Matcher.collect
+    <repro.gamma.matching.Matcher.collect>`.
     """
     writer = emitter.writer
     order = emitter.plan.order
@@ -1134,7 +1135,7 @@ class CompiledReaction:
         if not self._collect_supported:
             raise TypeError(
                 f"reaction {self.reaction.name!r} has no superstep collector "
-                f"(unknown-label match plan); use iter_matches with accounting"
+                f"(unknown-label match plan); use Matcher.collect"
             )
         # Raw counter access (same package): candidates always come from live
         # buckets, so the coercion/default handling of Multiset.count is dead

@@ -43,9 +43,8 @@ Reactions are additionally *compiled* before the run starts
 guards/productions, and the validation-free ``rewrite_unchecked`` firing
 path.  ``compiled=False`` selects the interpreted matcher/guard baseline
 (bit-identical traces on every identity-plan reaction set, which includes
-all paper workloads; a *seeded* parallel engine keeps the same finals and
-firing counts but not the schedule, because its interpreted collector draws
-per probe rather than per bucket).
+all paper workloads — seeded runs too: the interpreted superstep collector
+draws one permutation per bucket per superstep, like the compiled one).
 
 Every engine enforces a ``max_steps`` budget.  By default a diverging program
 (or a conversion bug) raises :class:`NonTerminationError` instead of hanging;

@@ -89,8 +89,10 @@ def fire_batch(
     already did, e.g. to record them in a trace) and multiplied into ``{element:
     copies}`` maps — keys in first-occurrence order — that go through one
     counted two-phase :meth:`Multiset.rewrite_batch_unchecked`.
-    ``validate=True`` applies the same batch through the atomic, validating
-    :meth:`Multiset.replace` instead (the interpreted baseline).
+    ``validate=True`` (the interpreted baseline) first checks every removal
+    against the multiset, like :meth:`Multiset.replace`, so a bad batch
+    raises ``KeyError`` with nothing mutated.  Both paths cost O(distinct
+    elements), not O(copies), and leave the same bucket order.
     """
     if produced_lists is None:
         produced_lists = [match.produced() for match in matches]
@@ -105,9 +107,13 @@ def fire_batch(
         for element in produced:
             added[element] = added.get(element, 0) + times
     if validate:
-        multiset.replace(Counter(removed).elements(), Counter(added).elements())
-    else:
-        multiset.rewrite_batch_unchecked(removed, added)
+        for element, copies in removed.items():
+            have = multiset.count(element)
+            if have < copies:
+                raise KeyError(
+                    f"batch would consume {copies} x {element!r} but only {have} present"
+                )
+    multiset.rewrite_batch_unchecked(removed, added)
     return firings
 
 
@@ -213,7 +219,119 @@ class Matcher:
         """True when ``reaction`` has at least one enabled match."""
         return self.find(reaction) is not None
 
+    def collect(
+        self,
+        reaction: Reaction,
+        remaining: Dict[Element, int],
+        views: Dict[object, list],
+    ) -> Iterator[Match]:
+        """Interpreted twin of :meth:`CompiledReaction.collect
+        <repro.gamma.compiled.CompiledReaction.collect>`.
+
+        Greedy disjoint ``(tuple, k)`` matches for one superstep, searched in
+        declaration order over the same per-superstep bucket views (``views``
+        is shared with the compiled collectors; with an RNG each snapshot is
+        shuffled once, when its view is built).  A candidate whose unclaimed
+        copies (``remaining``, else its multiset count) do not cover the
+        slots it would fill is skipped, and a held element left without
+        enough copies ends its level's scan — the compiled collector's break
+        cascade.  So for identity-plan reactions the two collectors visit,
+        claim, yield and draw identically.  This is the collector for
+        reactions without a codegenned one (interpreted runs, unknown-label
+        plans).
+        """
+        count = self.multiset.count
+
+        def available(element: Element) -> int:
+            avail = remaining.get(element)
+            return count(element) if avail is None else avail
+
+        def search(patterns, binding, consumed):
+            if not patterns:
+                if reaction.is_enabled(binding):
+                    yield consumed, binding
+                return
+            pat, rest = patterns[0], patterns[1:]
+            view = self._view(pat, binding, views)
+            candidates = view[0]
+            exhausted_prefix = True
+            for j in range(view[1], len(candidates)):
+                element = candidates[j]
+                avail = available(element)
+                if avail <= 0:
+                    # Claims only accumulate within a superstep: skip an
+                    # exhausted prefix for good, as the compiled head does.
+                    if exhausted_prefix:
+                        view[1] = j + 1
+                    continue
+                exhausted_prefix = False
+                # Slots this element fills at this level and shallower.
+                held = consumed.count(element) + 1
+                if avail < held:
+                    continue
+                new_binding = pat.match(element, binding)
+                if new_binding is None:
+                    continue
+                for found in search(rest, new_binding, consumed + (element,)):
+                    yield found
+                    if available(element) < held:
+                        break
+
+        for consumed, binding in search(tuple(reaction.replace), {}, ()):
+            slots = Counter(consumed)
+            times = min(available(element) // n for element, n in slots.items())
+            for element, n in slots.items():
+                remaining[element] = available(element) - times * n
+            yield Match(reaction=reaction, consumed=consumed, binding=dict(binding), times=times)
+
+    def _view(self, pat: ElementPattern, binding: Binding, views: Dict[object, list]) -> list:
+        """``pat``'s candidates as this superstep's ``[snapshot, head]`` view.
+
+        Views are keyed like the compiled collectors' — by the identity of
+        the index bucket the candidates come from — so both collectors scan
+        one (with an RNG, shuffled) snapshot per bucket per superstep.  An
+        unbound variable label pools every label's candidates under a
+        ``(None, tag)`` key.
+        """
+        label, tag = self._resolve(pat, binding)
+        if label is None:
+            key: object = (None, tag)
+            source: Iterable[Element] = self._iter_all_labels(tag)
+        else:
+            if tag is None:
+                bucket = self.index.label_buckets().get(label)
+            else:
+                tags = self.index.label_tag_buckets().get(label)
+                bucket = tags.get(tag) if tags is not None else None
+            if not bucket:
+                return [(), 0]
+            key = id(bucket)
+            source = bucket
+        view = views.get(key)
+        if view is None:
+            view = views[key] = [list(source), 0]
+            if self.rng is not None:
+                self.rng.shuffle(view[0])
+        return view
+
     # -- search -----------------------------------------------------------------
+    @staticmethod
+    def _resolve(pat: ElementPattern, binding: Binding) -> Tuple[Optional[str], Optional[int]]:
+        """``pat``'s label and tag, where a constant or a bound variable fixes them."""
+        from .expr import Const, Var
+
+        label = pat.fixed_label()
+        # When the label is a bound variable we can still use the index.
+        if label is None and isinstance(pat.label, Var) and pat.label.name in binding:
+            label = binding[pat.label.name]
+        tag: Optional[int] = None
+        tag_var = pat.tag_variable()
+        if tag_var is not None and tag_var in binding:
+            tag = binding[tag_var]
+        elif isinstance(pat.tag, Const):
+            tag = pat.tag.value
+        return label, tag
+
     def _candidates(self, pat: ElementPattern, binding: Binding) -> Iterable[Element]:
         """Candidate elements for ``pat`` given the variables bound so far.
 
@@ -222,30 +340,13 @@ class Matcher:
         (the chaotic/parallel schedulers) visits the same candidates in a
         lazily drawn uniform order: see :func:`lazy_shuffle`.
         """
-        fixed_label = pat.fixed_label()
-        # When the label is a bound variable we can still use the index.
-        if fixed_label is None:
-            from .expr import Var
-
-            if isinstance(pat.label, Var) and pat.label.name in binding:
-                fixed_label = binding[pat.label.name]
-
-        tag_value: Optional[int] = None
-        tag_var = pat.tag_variable()
-        if tag_var is not None and tag_var in binding:
-            tag_value = binding[tag_var]
-        else:
-            from .expr import Const
-
-            if isinstance(pat.tag, Const):
-                tag_value = pat.tag.value
-
-        if fixed_label is not None:
-            candidates = self.index.iter_candidates(fixed_label, tag_value)
+        label, tag = self._resolve(pat, binding)
+        if label is not None:
+            candidates = self.index.iter_candidates(label, tag)
         else:
             # Variable label not yet bound: consider every distinct element,
             # restricted by tag when it is known.
-            candidates = self._iter_all_labels(tag_value)
+            candidates = self._iter_all_labels(tag)
         if self.rng is None:
             return candidates
         return lazy_shuffle(list(candidates), self.rng)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..multiset.columnar import ColumnarStore
 from ..multiset.element import Element
@@ -240,9 +240,13 @@ class ReactionScheduler:
         (:meth:`~repro.gamma.compiled.CompiledReaction.collect`): one bucket
         pass per reaction with a shared consumed-occurrence map, skipping
         candidates claimed earlier in the batch, instead of enumerating every
-        match and filtering.  Reactions the collector cannot handle (no
-        compiled form, or an unknown-label match plan) fall back to the
-        enumerate-and-account discipline under the same ``(tuple, k)`` rule.
+        match and filtering.  Reactions the codegen cannot handle (no
+        compiled form, or an unknown-label match plan) go through its
+        interpreted twin, :meth:`Matcher.collect
+        <repro.gamma.matching.Matcher.collect>`, which scans the same bucket
+        views — so a seeded superstep draws one permutation per bucket on
+        either path, and ``compiled=True/False`` runs of identity-plan
+        programs take the same seeded schedule.
 
         ``budget`` caps the superstep's *firings* — the sum of ``times``, not
         the length of the list: the match that would cross it has its
@@ -256,7 +260,7 @@ class ReactionScheduler:
         label they would need, so parking them would only churn the worklist).
         """
         remaining: Dict[Element, int] = {}
-        views: Dict[int, list] = {}
+        views: Dict[object, list] = {}
         # Per-superstep cache of the columnar collectors (bucket snapshots,
         # exhausted-prefix heads, mask-true candidate lists) — the columnar
         # analogue of ``views``, shared across this superstep's reactions.
@@ -283,8 +287,8 @@ class ReactionScheduler:
                     )
                 park_if_idle = not remaining
             else:
-                matches = self._account(i, remaining)
-                park_if_idle = False  # _account parks a matchless reaction itself
+                matches = self.matcher.collect(self.reactions[i], remaining, views)
+                park_if_idle = not remaining
             for match in matches:
                 park_if_idle = False
                 if room is not None:
@@ -297,41 +301,6 @@ class ReactionScheduler:
             if park_if_idle:
                 self._parked.add(i)
         return chosen
-
-    def _account(self, i: int, remaining: Dict[Element, int]) -> Iterator[Match]:
-        """Enumerate-and-account collector for reaction ``i``.
-
-        For reactions without a codegenned collector: every enabled match is
-        enumerated against the current multiset and fired ``k`` times, ``k``
-        the minimum over its distinct elements of unclaimed copies //
-        occurrences in the tuple; matches the earlier claims starve are
-        skipped.  A reaction with no enabled match at all is parked.
-        """
-        compiled_reaction = self._compiled[i]
-        if compiled_reaction is not None:
-            matches = compiled_reaction.iter_matches(self.index, self.multiset, self.rng)
-        else:
-            matches = self.matcher.iter_matches(self.reactions[i])
-        count = self.multiset.count
-        enabled = False
-        for match in matches:
-            enabled = True
-            needed: Dict[Element, int] = {}
-            for element in match.consumed:
-                needed[element] = needed.get(element, 0) + 1
-            times = None
-            for element, slots in needed.items():
-                avail = remaining.get(element)
-                if avail is None:
-                    avail = remaining[element] = count(element)
-                if times is None or avail // slots < times:
-                    times = avail // slots
-            if times:
-                for element, slots in needed.items():
-                    remaining[element] -= times * slots
-                yield match if times == 1 else replace(match, times=times)
-        if not enabled:
-            self._parked.add(i)
 
 
 def greedy_disjoint_matches(

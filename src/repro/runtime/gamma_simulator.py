@@ -95,8 +95,9 @@ class GammaSimulator:
                 matches = scheduler.collect_superstep_matches(budget=pool.capacity())
                 if not matches:
                     break
-                # The budget already fits the batch to the pool's capacity.
-                pool.dispatch(matches, units=lambda match: match.times)
+                # A (tuple, k) decision is k unit-latency firings on k PEs;
+                # the budget already fits them to the pool's capacity.
+                pool.dispatch([match for match in matches for _ in range(match.times)])
                 total_firings += fire_batch(
                     multiset, matches, validate=not self.compiled
                 )

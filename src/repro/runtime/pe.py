@@ -4,8 +4,7 @@ The paper (§II-A) describes dataflow runtimes where "each core is a virtual
 Processing Element (PE) that runs the dataflow firing rule": ready work items
 are dispatched to PEs, independent items execute simultaneously.  The same
 abstraction serves the parallel Gamma schedulers (each PE performs one
-reaction firing per step, so a superstep decision that fires one tuple k
-times occupies k PEs).  The model is deliberately simple — unit-latency
+reaction firing per step).  The model is deliberately simple — unit-latency
 work items, a shared ready queue, round-robin assignment — because the
 paper's claims concern *available* parallelism, not micro-architecture.
 """
@@ -13,15 +12,11 @@ paper's claims concern *available* parallelism, not micro-architecture.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generic, List, Optional, Sequence, TypeVar
+from typing import Generic, List, Optional, Sequence, TypeVar
 
 __all__ = ["ProcessingElement", "PEPool"]
 
 WorkItem = TypeVar("WorkItem")
-
-
-def _one(item: object) -> int:
-    return 1
 
 
 @dataclass
@@ -56,46 +51,29 @@ class PEPool(Generic[WorkItem]):
         """Work items the pool can absorb in one step (None = unbounded)."""
         return self.num_pes
 
-    def dispatch(
-        self, items: Sequence[WorkItem], units: Callable[[WorkItem], int] = _one
-    ) -> List[WorkItem]:
-        """Execute up to ``capacity`` unit-latency firings this step.
-
-        An item occupies ``units(item)`` PEs for the step (one by default).
-        The Gamma simulator passes ``match.times``, so a superstep
-        ``(tuple, k)`` decision costs k firings on k PEs, exactly as if each
-        copy were its own match.  Items are accepted in order while they fit;
-        the accepted ones are returned.
+    def dispatch(self, items: Sequence[WorkItem]) -> List[WorkItem]:
+        """Execute up to ``capacity`` items this step; return the accepted items.
 
         Bounded pools assign round-robin from a rotating cursor, so a
         narrower-than-capacity superstep batch does not pile all its work onto
         the low-indexed PEs step after step — :meth:`load_balance` then
         reflects the even spread a real worker pool would show.
         """
-        accepted: List[WorkItem] = []
-        load = 0
-        for item in items:
-            width = units(item)
-            if self.num_pes is not None and load + width > self.num_pes:
-                break
-            accepted.append(item)
-            for slot in range(load, load + width):
-                self._pe(slot).execute(item)
-            load += width
-        if self.num_pes is not None:
-            self._cursor = (self._cursor + load) % self.num_pes
-        self._steps += 1
-        self._profile.append(load)
-        return accepted
-
-    def _pe(self, slot: int) -> ProcessingElement:
-        """The PE running this step's ``slot``-th firing."""
         if self.num_pes is None:
+            accepted = list(items)
             # Grow the (virtual) PE list lazily so per-PE statistics still exist.
-            while len(self.pes) <= slot:
+            while len(self.pes) < len(accepted):
                 self.pes.append(ProcessingElement(len(self.pes)))
-            return self.pes[slot]
-        return self.pes[(self._cursor + slot) % self.num_pes]
+            for pe, item in zip(self.pes, accepted):
+                pe.execute(item)
+        else:
+            accepted = list(items)[: self.num_pes]
+            for offset, item in enumerate(accepted):
+                self.pes[(self._cursor + offset) % self.num_pes].execute(item)
+            self._cursor = (self._cursor + len(accepted)) % self.num_pes
+        self._steps += 1
+        self._profile.append(len(accepted))
+        return accepted
 
     # -- statistics ---------------------------------------------------------------
     @property

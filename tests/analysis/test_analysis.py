@@ -59,7 +59,7 @@ class TestDynamicParallelism:
         assert comparison.dataflow.max_parallelism <= 2
         assert comparison.gamma.max_parallelism <= 2
 
-    def test_gamma_parallelism_unbounded_uses_max_parallel_engine(self):
+    def test_gamma_parallelism_unbounded_counts_full_supersteps(self):
         metrics = gamma_parallelism(sum_reduction(), values_multiset(range(1, 17)), num_pes=None)
         assert metrics.profile == [8, 4, 2, 1]
 

@@ -29,12 +29,14 @@ from repro.gamma import (
     Matcher,
     ParallelEngine,
     Reaction,
+    ReactionScheduler,
     SequentialEngine,
     Var,
     compile_reaction,
 )
 from repro.gamma.expr import BinOp, Compare
 from repro.multiset import Element, LabelTagIndex, Multiset
+from repro.runtime import GammaSimulator
 from repro.workloads import make_workload
 
 LABELS = ("A", "B", "C")
@@ -178,6 +180,29 @@ class TestCompiledEqualsInterpreted:
         )
         assert rng_a.getstate() == rng_b.getstate()
 
+    @given(
+        reactions=st.lists(identity_plan_reactions(), min_size=1, max_size=3),
+        multiset=multisets,
+        seed=st.integers(min_value=0, max_value=999),
+        budget=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_seeded_superstep_collectors_agree(self, reactions, multiset, seed, budget):
+        # The interpreted collector scans the compiled collectors' bucket
+        # views: same (tuple, k) decisions, same permutation per bucket.
+        supersteps, rngs = [], []
+        for compiled in (True, False):
+            rng = random.Random(seed)
+            scheduler = ReactionScheduler(reactions, multiset.copy(), rng=rng, compiled=compiled)
+            try:
+                matches = scheduler.collect_superstep_matches(budget=budget)
+            finally:
+                scheduler.detach()
+            supersteps.append([(m.consumed, m.binding, m.times) for m in matches])
+            rngs.append(rng.getstate())
+        assert supersteps[0] == supersteps[1]
+        assert rngs[0] == rngs[1]
+
     @given(reaction=mixed_selectivity_reactions(), multiset=multisets)
     @settings(max_examples=120, deadline=None)
     def test_same_match_set_for_reordered_plans(self, reaction, multiset):
@@ -226,7 +251,7 @@ class TestEngineTraceBitIdentity:
         for cls, kwargs in (
             (SequentialEngine, {}),
             (ChaoticEngine, {"seed": seed}),
-            (ParallelEngine, {}),
+            (ParallelEngine, {"seed": seed}),
         ):
             fast = cls(
                 compiled=True, max_steps=60, raise_on_budget=False, **kwargs
@@ -251,12 +276,27 @@ class TestPaperWorkloadBitIdentity:
         for cls, kwargs in (
             (SequentialEngine, {}),
             (ChaoticEngine, {"seed": seed}),
-            (ParallelEngine, {}),
+            (ParallelEngine, {"seed": seed}),
         ):
             fast = cls(compiled=True, **kwargs).run(workload.program, workload.initial)
             base = cls(compiled=False, **kwargs).run(workload.program, workload.initial)
             assert trace_key(fast) == trace_key(base)
             assert fast.final == base.final
+
+    @pytest.mark.parametrize("workload_name", WORKLOADS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("num_pes", (None, 3))
+    def test_seeded_simulator_profiles_identical(self, workload_name, seed, num_pes):
+        # E9's counting model: the same seeded superstep schedule either way.
+        workload = make_workload(workload_name, size=14, seed=seed)
+        fast, base = (
+            GammaSimulator(workload.program, num_pes=num_pes, seed=seed, compiled=compiled).run(
+                workload.initial
+            )
+            for compiled in (True, False)
+        )
+        assert fast.metrics.profile == base.metrics.profile
+        assert fast.final == base.final
 
     @pytest.mark.parametrize("workload_name", WORKLOADS)
     def test_identity_plans_on_paper_workloads(self, workload_name):

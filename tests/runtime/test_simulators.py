@@ -59,21 +59,6 @@ class TestPEPool:
         assert pool.total_executed == 4
         assert sorted(pool.load_balance()) == [1, 1, 2]
 
-    def test_weighted_item_occupies_one_pe_per_firing(self):
-        # A superstep (tuple, k) decision is k unit-latency firings.
-        pool = PEPool(4)
-        units = {"a": 3, "b": 1, "c": 1}.get
-        assert pool.dispatch(["a", "b", "c"], units=units) == ["a", "b"]
-        assert pool.dispatch(["c"], units=units) == ["c"]
-        assert pool.profile == [4, 1]
-        assert pool.load_balance() == [2, 1, 1, 1]
-
-    def test_unbounded_pool_grows_to_the_weighted_width(self):
-        pool = PEPool(None)
-        assert pool.dispatch(["a", "b"], units={"a": 5, "b": 2}.get) == ["a", "b"]
-        assert pool.profile == [7]
-        assert pool.load_balance() == [1] * 7
-
 
 class TestMetrics:
     def test_from_profile(self):
