@@ -20,6 +20,7 @@ source lines.
 
 from __future__ import annotations
 
+import itertools
 import linecache
 import threading
 from collections import OrderedDict
@@ -32,6 +33,11 @@ __all__ = ["CACHE_CAP", "CodeCache", "CodeUnit"]
 #: bound only matters to long-lived processes compiling many unrelated
 #: programs (gateway tenants).
 CACHE_CAP = 256
+
+#: Serials for ``<kind N:variant>`` pseudo-filenames, drawn process-wide:
+#: ``linecache`` is one global map, so two caches of the same kind (a private
+#: test cache beside the module one) must never file under the same name.
+_SERIALS = itertools.count(1)
 
 
 class CodeUnit:
@@ -108,7 +114,6 @@ class CodeCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._serial = 0
         self._units: "OrderedDict[Hashable, CodeUnit]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -123,8 +128,7 @@ class CodeCache:
                 self._units.move_to_end(key)
                 return unit
             self.misses += 1
-            self._serial += 1
-            unit = self._units[key] = self.unit(self, key, self._serial)
+            unit = self._units[key] = self.unit(self, key, next(_SERIALS))
             while len(self._units) > self.cap:
                 _, oldest = self._units.popitem(last=False)
                 oldest.forget()

@@ -642,11 +642,11 @@ def _emit_matcher_body(emitter: _MatcherEmitter, shuffled: bool, emit: str) -> N
         writer.indent += 1
 
         # -- consumed-multiplicity check (O(1), against enclosing loops) ----
+        # Identity only, as in the collectors: candidates are bucket keys,
+        # one instance per distinct element.
         colliders = emitter.colliders(k)
         if colliders:
-            terms = " + ".join(
-                f"(e{k} is e{j} or e{k} == e{j})" for j in colliders
-            )
+            terms = " + ".join(f"(e{k} is e{j})" for j in colliders)
             writer.w(f"n{k} = {terms}")
             writer.w(f"if n{k} and mcount(e{k}) <= n{k}:")
             writer.w("    continue")
@@ -1039,13 +1039,15 @@ class CompiledReaction:
         rng: Optional[random.Random] = None,
     ) -> Optional[Match]:
         """First enabled match against the indexed multiset, or ``None``."""
+        # Raw counter access, as in :meth:`collect`: candidates come from live
+        # buckets, so Multiset.count's coercion is dead weight per probe.
         if rng is None:
             got = self._find_det(
-                index.label_tag_buckets(), index.label_buckets(), multiset.count
+                index.label_tag_buckets(), index.label_buckets(), multiset._counts.get
             )
         else:
             got = self._find_rng(
-                index.label_tag_buckets(), index.label_buckets(), rng, multiset.count
+                index.label_tag_buckets(), index.label_buckets(), rng, multiset._counts.get
             )
         if got is None:
             return None
@@ -1064,11 +1066,11 @@ class CompiledReaction:
         """All enabled matches (up to ``limit``), interpreted-matcher order."""
         if rng is None:
             raw = self._iter_det(
-                index.label_tag_buckets(), index.label_buckets(), multiset.count
+                index.label_tag_buckets(), index.label_buckets(), multiset._counts.get
             )
         else:
             raw = self._iter_rng(
-                index.label_tag_buckets(), index.label_buckets(), rng, multiset.count
+                index.label_tag_buckets(), index.label_buckets(), rng, multiset._counts.get
             )
         produced = 0
         for consumed, binding in raw:

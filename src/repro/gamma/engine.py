@@ -260,6 +260,8 @@ class GammaEngine:
         # Matches handed out by the scheduler are availability-verified, so
         # the compiled path skips replace()'s redundant atomic pre-validation.
         apply_rewrite = multiset.rewrite_unchecked if self.compiled else multiset.replace
+        begin_step = trace.begin_step
+        record = trace.record
         steps = 0
         firings = 0
         while True:
@@ -274,11 +276,11 @@ class GammaEngine:
             matches = self._select_matches(scheduler)
             if not matches:
                 return steps, firings, True
-            step = trace.begin_step()
+            step = begin_step()
             for match in matches:
                 produced = match.produced()
                 apply_rewrite(match.consumed, produced)
-                trace.record(step, match.reaction.name, match.consumed, produced, match.binding)
+                record(step, match.reaction.name, match.consumed, produced, match.binding)
                 firings += 1
             steps += 1
 

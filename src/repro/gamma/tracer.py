@@ -20,6 +20,11 @@ from ..multiset.element import Element
 
 __all__ = ["FiringRecord", "StepRecord", "Trace"]
 
+#: One logged firing: ``(step, reaction, consumed, produced, binding, times)``.
+_LogEntry = Tuple[
+    int, str, Tuple[Element, ...], Tuple[Element, ...], Optional[Dict[str, Any]], int
+]
+
 
 @dataclass(frozen=True)
 class FiringRecord:
@@ -64,46 +69,76 @@ class StepRecord:
 
 
 class Trace:
-    """A whole-run trace."""
+    """A whole-run trace.
+
+    Recording is a flat log: :meth:`begin_step` bumps a counter and
+    :meth:`record` appends one ``(step, reaction, consumed, produced, binding,
+    times)`` tuple, so the firing loops build no record objects.  The
+    :class:`StepRecord` / :class:`FiringRecord` views (:attr:`steps`,
+    :meth:`firings`) are materialized when first read and extended by later
+    reads, with the field values and order an eager build would have had —
+    including empty steps, such as the one a raising production leaves
+    behind.  The aggregates (:attr:`num_firings`, :meth:`parallelism_profile`,
+    :meth:`firing_counts`) read the log directly.  The log holds the
+    caller's ``binding`` dict, which must not be mutated after recording;
+    each materialized record gets its own copy.
+    """
 
     def __init__(self) -> None:
-        self.steps: List[StepRecord] = []
+        self._num_steps = 0
+        self._log: List[_LogEntry] = []
+        self._steps: List[StepRecord] = []
+        self._materialized = 0  # log entries already in ``_steps``
 
     # -- recording ------------------------------------------------------------
-    def begin_step(self) -> StepRecord:
-        record = StepRecord(step=len(self.steps))
-        self.steps.append(record)
-        return record
+    def begin_step(self) -> int:
+        """Open the next step; returns its number, to pass to :meth:`record`."""
+        step = self._num_steps
+        self._num_steps = step + 1
+        return step
 
     def record(
         self,
-        step: StepRecord,
+        step: int,
         reaction: str,
         consumed: Sequence[Element],
         produced: Sequence[Element],
         binding: Optional[Dict[str, Any]] = None,
         times: int = 1,
-    ) -> FiringRecord:
-        """Append one firing (of multiplicity ``times``) to ``step``."""
-        firing = FiringRecord(
-            step=step.step,
-            reaction=reaction,
-            consumed=tuple(consumed),
-            produced=tuple(produced),
-            binding=dict(binding or {}),
-            times=times,
-        )
-        step.firings.append(firing)
-        return firing
+    ) -> None:
+        """Append one firing (of multiplicity ``times``) to step ``step``."""
+        self._log.append((step, reaction, tuple(consumed), tuple(produced), binding, times))
 
     # -- queries ------------------------------------------------------------------
     @property
+    def steps(self) -> List[StepRecord]:
+        """Per-step records, built from the log on read."""
+        steps = self._steps
+        while len(steps) < self._num_steps:
+            steps.append(StepRecord(step=len(steps)))
+        log = self._log
+        for index in range(self._materialized, len(log)):
+            step, reaction, consumed, produced, binding, times = log[index]
+            steps[step].firings.append(
+                FiringRecord(
+                    step=step,
+                    reaction=reaction,
+                    consumed=consumed,
+                    produced=produced,
+                    binding=dict(binding or {}),
+                    times=times,
+                )
+            )
+        self._materialized = len(log)
+        return steps
+
+    @property
     def num_steps(self) -> int:
-        return len(self.steps)
+        return self._num_steps
 
     @property
     def num_firings(self) -> int:
-        return sum(s.width for s in self.steps)
+        return sum(entry[5] for entry in self._log)
 
     def firings(self) -> List[FiringRecord]:
         """All firing records in order (one per distinct firing decision;
@@ -119,7 +154,10 @@ class Trace:
 
     def parallelism_profile(self) -> List[int]:
         """Reactions fired per step (the Gamma-side parallelism profile)."""
-        return [width for width in (s.width for s in self.steps) if width > 0]
+        widths = [0] * self._num_steps
+        for entry in self._log:
+            widths[entry[0]] += entry[5]
+        return [width for width in widths if width > 0]
 
     def max_parallelism(self) -> int:
         profile = self.parallelism_profile()
@@ -134,8 +172,8 @@ class Trace:
     def firing_counts(self) -> Dict[str, int]:
         """Reaction name -> number of firings."""
         counts: Dict[str, int] = {}
-        for firing in self.firings():
-            counts[firing.reaction] = counts.get(firing.reaction, 0) + firing.times
+        for entry in self._log:
+            counts[entry[1]] = counts.get(entry[1], 0) + entry[5]
         return counts
 
     def reuse_statistics(self) -> Dict[str, int]:

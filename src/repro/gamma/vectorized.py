@@ -63,7 +63,6 @@ from ..multiset.multiset import Multiset
 from .codecache import CodeCache
 from .expr import BinOp, BoolOp, Compare, Const, Expr, Not, Var
 from .reaction import Reaction
-from .tracer import FiringRecord, StepRecord
 
 __all__ = [
     "VectorizedReaction",
@@ -849,7 +848,8 @@ class ColumnarKernel:
         store = self.store
         states = self.states
         tracked = self._tracked
-        trace_steps = trace.steps
+        begin_step = trace.begin_step
+        record = trace.record
         timer = None
         if profiler is not None:
             from time import perf_counter as timer  # noqa: F811
@@ -872,15 +872,10 @@ class ColumnarKernel:
                 if found is None:
                     break
                 t0 = timer() if timer else 0.0
-                # Same records the object drain writes, constructed directly
-                # (the wrappers' re-tupling and binding-copying showed up at
-                # 10^5-firing scale).  The step record lands *before* the
-                # productions run — the object drain calls ``begin_step``
-                # first too, so a raising production leaves the same empty
-                # step behind on both paths.
-                n = len(trace_steps)
-                step_rec = StepRecord(step=n)
-                trace_steps.append(step_rec)
+                # The step opens *before* the productions run — the object
+                # drain calls ``begin_step`` first too, so a raising
+                # production leaves the same empty step behind on both paths.
+                step = begin_step()
                 binding = vec.bind(found)
                 produced = []
                 for entry in state.producers:
@@ -906,15 +901,7 @@ class ColumnarKernel:
                     bucket, _slot, appended = store.add(element)
                     if appended and not bucket.vectorizable and id(bucket) in tracked:
                         demoted = True
-                step_rec.firings.append(
-                    FiringRecord(
-                        step=n,
-                        reaction=vec.reaction.name,
-                        consumed=found,
-                        produced=tuple(produced),
-                        binding=binding,
-                    )
-                )
+                record(step, vec.reaction.name, found, produced, binding)
                 firings += 1
                 steps += 1
                 if timer:

@@ -507,7 +507,6 @@ class StreamingGammaRuntime:
         self._engine: Optional[GammaEngine] = None
         self._scheduler: Optional[ReactionScheduler] = None
         self._multiset: Optional[Multiset] = None
-        self._trace: Optional[Trace] = None
         self._session: Optional[ShardSession] = None
         self._reports: List[EpochReport] = []
         self._final: Optional[Multiset] = None
@@ -533,7 +532,6 @@ class StreamingGammaRuntime:
         if self.backend in _ENGINE_BACKENDS:
             self._multiset = source.copy()
             self._engine = self._make_engine()
-            self._trace = Trace()
             self._scheduler = ReactionScheduler(
                 self.program.reactions,
                 self._multiset,
@@ -673,13 +671,15 @@ class StreamingGammaRuntime:
                     self._epochs_since_checkpoint = 0
         else:
             assert self._engine is not None and self._scheduler is not None
-            assert self._multiset is not None and self._trace is not None
+            assert self._multiset is not None
             if batch:
                 self._scheduler.inject(batch)
+            # A throwaway trace: nothing reads a stream's firings, and one
+            # kept across epochs would grow with every firing of the run.
             steps, firings, stable = self._engine.drain(
                 self._scheduler,
                 self._multiset,
-                self._trace,
+                Trace(),
                 max_steps=budget,
                 raise_on_budget=False,
                 label=self.program.name,

@@ -1,9 +1,16 @@
 """Unit tests for execution traces."""
 
+import pytest
+
 from repro.analysis.reaction_graph import flow_weights, hot_label_report
-from repro.gamma import ParallelEngine, run
+from repro.gamma import ParallelEngine, SequentialEngine, run
+from repro.gamma.expr import BinOp, EvaluationError, var
+from repro.gamma.pattern import pattern, template
+from repro.gamma.reaction import Branch, Reaction
+from repro.gamma.scheduler import ReactionScheduler
 from repro.gamma.stdlib import min_element, sum_reduction, values_multiset
-from repro.gamma.tracer import Trace
+from repro.gamma.tracer import FiringRecord, StepRecord, Trace
+from repro.multiset import Element
 from repro.api import RuntimeConfig
 
 
@@ -101,3 +108,69 @@ class TestFiringMultiplicity:
         assert result.firings == result.trace.num_firings == 40
         assert result.parallelism_profile() == [40]
         assert result.trace.firing_counts() == {"Rmin": 40}
+
+
+class TestLazyRecords:
+    """Records built from the flat log on read equal the eagerly built ones."""
+
+    A, B, C = Element(1, "a", 0), Element(2, "b", 0), Element(3, "c", 1)
+
+    def test_materialized_records_equal_eager_ones(self):
+        a, b, c = self.A, self.B, self.C
+        binding = {"x": 1}
+        trace = Trace()
+        step = trace.begin_step()
+        trace.record(step, "R", [a], [b], binding)
+        trace.record(step, "S", (b,), [c], times=4)
+        trace.begin_step()
+        step = trace.begin_step()
+        trace.record(step, "R", [c], [])
+        eager = [
+            StepRecord(0, [
+                FiringRecord(0, "R", (a,), (b,), {"x": 1}),
+                FiringRecord(0, "S", (b,), (c,), {}, times=4),
+            ]),
+            StepRecord(1, []),
+            StepRecord(2, [FiringRecord(2, "R", (c,), (), {})]),
+        ]
+        assert trace.steps == eager
+        assert trace.firings() == [f for s in eager for f in s.firings]
+        assert trace.num_steps == 3 and trace.num_firings == 6
+        assert trace.parallelism_profile() == [5, 1]
+        assert trace.firings()[0].binding is not binding
+
+    def test_steps_read_early_see_later_records(self):
+        a, b, c = self.A, self.B, self.C
+        trace = Trace()
+        step = trace.begin_step()
+        trace.record(step, "R", [a], [b])
+        held = trace.steps[0]
+        trace.record(step, "S", [b], [c])
+        trace.record(trace.begin_step(), "R", [c], [a])
+        assert [s.width for s in trace.steps] == [2, 1]
+        assert trace.steps[0] is held and [f.reaction for f in held.firings] == ["R", "S"]
+        assert [(f.step, f.reaction) for f in trace.firings()] == [(0, "R"), (0, "S"), (1, "R")]
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_raising_production_leaves_an_empty_step(self, columnar):
+        # 8/2 fires; then 0/0 raises inside the second step's production.
+        divide = Reaction(
+            name="Rdiv",
+            replace=[pattern("a", "x"), pattern("b", "x")],
+            branches=[Branch(productions=[template(BinOp("/", var("a"), var("b")), "x")])],
+        )
+        multiset = values_multiset([8, 2, 0, 0])
+        scheduler = ReactionScheduler([divide], multiset, columnar=columnar)
+        trace = Trace()
+        try:
+            with pytest.raises(EvaluationError):
+                SequentialEngine(columnar=columnar).drain(scheduler, multiset, trace, max_steps=10)
+        finally:
+            scheduler.detach()
+        eight, two = Element(8, "x", 0), Element(2, "x", 0)
+        assert trace.steps == [
+            StepRecord(0, [
+                FiringRecord(0, "Rdiv", (eight, two), (Element(4, "x", 0),), {"a": 8, "b": 2, "v": 0}),
+            ]),
+            StepRecord(1, []),
+        ]

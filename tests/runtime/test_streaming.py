@@ -4,6 +4,7 @@ import multiprocessing
 import random
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -451,3 +452,27 @@ class TestStreamingGammaRuntime:
         runtime.close()  # idempotent
         with pytest.raises(RuntimeError):
             runtime.pump()  # closed
+
+
+class TestLongStreamMemory:
+    def test_single_process_stream_holds_no_per_firing_state(self):
+        # A stream runs for as long as its producers do, so nothing it keeps
+        # may grow with the firings it has done.
+        runtime = StreamingGammaRuntime(min_element(), config=RuntimeConfig(backend="sequential"))
+        runtime.start(Multiset())
+        fired, value, traced = 0, 1, {}
+        tracemalloc.start()
+        try:
+            while fired < 100_000:
+                assert runtime.queue.offer_batch(
+                    [(Element(v, "x", 0), 1) for v in range(value, value + 1000)]
+                )
+                value += 1000
+                fired += runtime.pump().firings
+                if fired >= 10_000 and not traced:
+                    traced[10_000] = tracemalloc.get_traced_memory()[0]
+            traced[100_000] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            runtime.close()
+        assert traced[100_000] - traced[10_000] < 2 * 1024 * 1024, traced
