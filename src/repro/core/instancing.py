@@ -189,8 +189,10 @@ def execute_via_dataflow(
         interpreter = DataflowInterpreter(instanced.graph, record_events=False)
         result = interpreter.run()
         produced = _round_outputs(instanced, result, graphs)
-        consumed = [e for info in instanced.instances for e in info.match.consumed]
-        multiset.replace(consumed, produced)
+        # Eq. 1, M := (M - consumed) + produced, as a fresh multiset: its
+        # label and tag key orders are then those of a from-scratch rebuild,
+        # the candidate order the next round's seeded instancing draws from.
+        multiset = instanced.leftover + Multiset(produced)
         rounds += 1
         total_instances += instanced.num_instances
         total_firings += result.total_firings

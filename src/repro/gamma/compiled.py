@@ -957,8 +957,8 @@ class CompiledReaction:
     """One reaction specialized for repeated probing.
 
     Built by :func:`compile_reaction`; probed through :meth:`find` /
-    :meth:`iter_matches` against an attached
-    :class:`~repro.multiset.index.LabelTagIndex`.
+    :meth:`iter_matches` against a
+    :class:`~repro.multiset.index.LabelTagIndex` view of the multiset.
     """
 
     __slots__ = (

@@ -28,8 +28,8 @@ All engines share one run loop (:meth:`GammaEngine._run_block`) built on
 the incremental :class:`~repro.gamma.scheduler.ReactionScheduler`:
 
 1. a :class:`~repro.multiset.index.LabelTagIndex` is *attached* to the run's
-   multiset once and maintained through the multiset's change notifications —
-   no per-step index rebuild;
+   multiset once, as an O(1) view of the multiset's own label and tag
+   buckets — no per-step index rebuild and no second copy to maintain;
 2. the scheduler precomputes each reaction's consumed-label footprint and
    parks reactions proven dead; after a firing, only reactions whose footprint
    intersects the labels touched by the rewrite are re-probed;

@@ -120,9 +120,9 @@ def fire_batch(
 class Matcher:
     """Backtracking matcher bound to one multiset snapshot.
 
-    The matcher builds a :class:`LabelTagIndex` lazily; callers that already
-    maintain an index (the parallel scheduler) can pass it in to avoid the
-    rebuild cost.
+    Without an ``index`` the matcher views a snapshot copy of the multiset
+    (:class:`LabelTagIndex`); callers that already hold an attached index
+    (the scheduler) pass it in to avoid the copy.
 
     With ``compiled=True`` each probed reaction is specialized once through
     :func:`repro.gamma.compiled.compile_reaction` and subsequent probes run

@@ -8,9 +8,11 @@ Machine / GPU lineage the paper cites — keep a persistent reaction/species
 index and only re-examine reactions whose reactant pools changed.  This module
 ports that architecture:
 
-* the :class:`~repro.multiset.multiset.Multiset` publishes change
-  notifications, and one :class:`LabelTagIndex` is attached per run and
-  maintained incrementally through ``add``/``remove``/``replace``;
+* the :class:`~repro.multiset.multiset.Multiset` keeps its elements in
+  label and tag buckets, and one :class:`LabelTagIndex` is attached per run
+  as a view of those buckets — attaching costs O(1) and nothing has to be
+  kept in sync; the multiset's change notifications only feed the
+  scheduler's dirty-label set;
 * each reaction's *consumed-label footprint* is precomputed
   (:meth:`~repro.gamma.reaction.Reaction.consumed_labels`); a reaction whose
   replace list binds a variable label depends on every label and is treated as
@@ -76,14 +78,14 @@ class ReactionScheduler:
     """Persistent, change-driven scheduler for one Gamma run.
 
     One scheduler is bound to one (reactions, multiset) pair for the duration
-    of a run; call :meth:`detach` afterwards to unhook the change listeners
-    (engines do this in a ``finally`` block).  The multiset may only be
+    of a run; call :meth:`detach` afterwards to unhook the change listener
+    and release the index (engines do this in a ``finally`` block).  The multiset may only be
     mutated *between* probe calls — exactly the discipline of all engines,
     which collect matches first and fire afterwards.
 
     ``columnar=True`` additionally attaches a
     :class:`~repro.multiset.columnar.ColumnarStore` mirror (maintained
-    through the same change notifications as the index) and lets the
+    through the multiset's change notifications) and lets the
     deterministic superstep collector run each eligible reaction's probe as
     a vectorized mask sweep (:func:`repro.gamma.vectorized.columnar_collect`)
     instead of an element-at-a-time bucket scan.  Reactions outside the
@@ -143,7 +145,7 @@ class ReactionScheduler:
 
     # -- lifecycle ----------------------------------------------------------------
     def detach(self) -> None:
-        """Unhook the index and dirty-label listeners (idempotent)."""
+        """Unhook the dirty-label listener and detach the index (idempotent)."""
         if self._attached:
             self.multiset.unsubscribe(self._listener)
             self.index.detach()
@@ -177,9 +179,9 @@ class ReactionScheduler:
         """Admit streamed ``(element, count)`` pairs into the live run.
 
         The ingestion hook of :class:`repro.runtime.streaming.StreamingGammaRuntime`:
-        elements arriving mid-run enter through the multiset's normal change
-        notifications, so every touched label lands in the dirty set and the
-        next :meth:`refresh` re-wakes exactly the parked reactions whose
+        elements arriving mid-run are ordinary multiset insertions, so the
+        index sees them at once, every touched label lands in the dirty set
+        and the next :meth:`refresh` re-wakes exactly the parked reactions whose
         footprints the injected elements intersect — a stable sub-program
         stays parked, a reaction starved for one of the injected labels is
         re-armed without any index rebuild.  Like every mutation, injection

@@ -21,7 +21,7 @@ scalar closure otherwise.  Three consumers sit on top of it:
   :meth:`~repro.multiset.columnar.ColumnarStore.sync_into` when it finishes
   or bails.  Traces are **bit-identical** to the object engine: the kernel
   enumerates candidates in the same stable slot order the compiled find
-  matcher scans buckets in, and the store replicates ``Counter`` key
+  matcher scans buckets in, and the store replicates dict key
   insertion/tombstone order exactly.
 * :func:`columnar_collect` — a columnar superstep collector with the same
   claim-accounting contract as
@@ -922,7 +922,6 @@ class ColumnarKernel:
         """Write the store back into the multiset and re-arm the scheduler."""
         scheduler = self.scheduler
         self.store.sync_into(scheduler.multiset)
-        scheduler.index.rebuild(scheduler.multiset)
         scheduler._parked.clear()
         scheduler._dirty.clear()
 

@@ -1,6 +1,6 @@
 """Columnar multiset storage: per-label parallel arrays behind the object model.
 
-The object :class:`~repro.multiset.multiset.Multiset` keeps one ``Counter``
+The object :class:`~repro.multiset.multiset.Multiset` keeps one dict
 entry per distinct :class:`~repro.multiset.element.Element`; every guard
 probe of the compiled matchers therefore walks Python objects one by one.
 This module provides the storage half of the vectorized execution path
@@ -16,11 +16,11 @@ as **per-label buckets of parallel arrays** —
   value objects (``True`` vs ``1``, non-int payloads) so conversion back to
   a :class:`Multiset` is lossless.
 * ``seqs`` — a store-wide monotone insertion sequence per slot, preserving
-  the multiset's observable ``Counter`` insertion order across buckets.
+  the multiset's observable dict insertion order across buckets.
 
 Slots are **tombstoned, never reused**: a count that returns to zero stays a
 dead slot, and re-adding the same element appends a fresh slot at the tail —
-exactly mirroring ``Counter`` key deletion + re-insertion, which seeded
+exactly mirroring dict key deletion + re-insertion, which seeded
 schedulers observe through bucket enumeration order.  Buckets whose elements
 are not machine-int shaped (non-int values, magnitudes beyond ``±2**31``)
 remain fully usable as storage but are flagged non-``vectorizable`` so the
@@ -28,9 +28,8 @@ execution kernels fall back to the object path for them.
 
 A store is either *detached* (a snapshot built by :meth:`from_multiset`, the
 mode the sequential drain kernel uses) or *attached* to a live multiset via
-its change-notification stream (:meth:`attach`), the same discipline as
-:class:`~repro.multiset.index.LabelTagIndex` — which keeps the columns fresh
-across supersteps and migrations without rebuilds.
+its change-notification stream (:meth:`attach`), which keeps the columns
+fresh across supersteps and migrations without rebuilds.
 
 The module also owns the sharded runtime's **column-batch wire format**
 (:func:`to_column_batch` / :func:`from_column_batch`): element batches cross
@@ -222,7 +221,7 @@ class ColumnarStore:
 
     Lossless in both directions: :meth:`from_multiset` / :meth:`to_multiset`
     round-trip counts, labels, the exact element objects, *and* every
-    observable ordering (global ``Counter`` insertion order via per-slot
+    observable ordering (global dict insertion order via per-slot
     sequence numbers; per-label bucket order; label-bucket creation order via
     per-label streak sequences).  See the module docstring for the slot
     discipline.
@@ -303,8 +302,8 @@ class ColumnarStore:
         """Add ``count`` copies; returns ``(bucket, slot, appended)``.
 
         A live slot for an equal element merges in place (its position is
-        preserved, like incrementing a live ``Counter`` key); otherwise a new
-        slot is appended at the tail (like ``Counter`` key re-insertion).
+        preserved, like incrementing a live dict key); otherwise a new
+        slot is appended at the tail (like dict key re-insertion).
         """
         bucket = self.bucket_for(element.label)
         refill = bucket.live_copies == 0
@@ -388,26 +387,22 @@ class ColumnarStore:
         """Overwrite ``multiset``'s state in place to match this store exactly.
 
         Used by the sequential drain kernel when it hands control back to the
-        object path: the kernel mutates only the store, then reconstructs the
-        multiset's ``Counter``s — including the orderings seeded schedulers
-        can observe (global key order from slot sequences, per-label bucket
-        order, label-bucket streak order) — without emitting change
-        notifications.  Callers must re-arm any attached observers
-        themselves (the kernel rebuilds the scheduler's index and clears its
+        object path: the kernel mutates only the store, then rewrites the
+        multiset's element, label and tag buckets — including the orderings
+        seeded schedulers can observe (global key order from slot sequences,
+        per-label bucket order, label-bucket streak order) — without
+        emitting change notifications.  Views of the multiset (the
+        scheduler's index) see the new state at once; callers must re-arm
+        any other observers themselves (the kernel clears the scheduler's
         parked set).
         """
-        counts = multiset._counts
-        by_label = multiset._by_label
-        counts.clear()
-        by_label.clear()
+        multiset._reset()
         for label in self.label_streaks:
-            by_label[label] = type(counts)()
-        size = 0
+            multiset._by_label[label] = {}
+            multiset._tags[label] = {}
+        put = multiset._put
         for element, count in self.live_pairs():
-            counts[element] = count
-            by_label[element.label][element] = count
-            size += count
-        multiset._size = size
+            put(element, count)
 
 
 # -- sharded wire format -------------------------------------------------------------

@@ -12,6 +12,22 @@ This module provides the counted container that supports those operations
 efficiently: constant-time membership counting, removal/insertion, snapshots
 used by the simulated-parallel scheduler, and a small algebra (union, sum,
 difference) used by the equivalence checker and tests.
+
+The container is the **one store** of element counts.  It keeps them in three
+plain dicts that always hold the same counts — by element, by label, and by
+label and tag — so the reaction scheduler's
+:class:`~repro.multiset.index.LabelTagIndex` is a view of these buckets, not a
+second copy maintained through change notifications.
+
+Buckets are plain dicts, and a firing deletes keys near a bucket's front and
+appends its products at the back.  CPython leaves each deleted key as a hole
+that every later ``for e in bucket`` skips one by one, and only a resize on
+insertion clears them — so without help a long fold's first-match probes
+re-walk one hole per earlier firing.  The multiset therefore counts the keys
+deleted from each label's buckets and, once the count exceeds
+:func:`compaction_bound` of the label's size, rebuilds that label's buckets
+with ``dict(bucket)``: an order-preserving copy, so candidate order (and every
+schedule drawn from it) is unchanged, at amortized O(1) per deletion.
 """
 
 from __future__ import annotations
@@ -22,38 +38,127 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from .element import Element, make_elements
 
-__all__ = ["Multiset", "ChangeListener"]
+__all__ = ["Multiset", "ChangeListener", "compaction_bound"]
 
 #: A change-notification callback: ``listener(element, delta)`` is invoked
 #: after ``delta`` copies of ``element`` were inserted (``delta > 0``) or
 #: removed (``delta < 0``).
 ChangeListener = Callable[[Element, int], None]
 
+#: A label's buckets are compacted once more than
+#: ``COMPACT_SLACK + size // COMPACT_DIVISOR`` keys were deleted from them
+#: since the last compaction (``size`` = the label's distinct elements).
+COMPACT_SLACK = 64
+COMPACT_DIVISOR = 16
+
+
+def compaction_bound(size: int) -> int:
+    """Deleted keys a label with ``size`` distinct elements may carry."""
+    return COMPACT_SLACK + size // COMPACT_DIVISOR
+
 
 class Multiset:
     """A counted multiset of :class:`~repro.multiset.element.Element`.
 
-    The container keeps a ``Counter`` from elements to multiplicities plus an
-    incremental index from labels to elements (see
-    :class:`~repro.multiset.index.LabelIndex` for the standalone variant); the
-    label index is what makes reaction matching tractable for the converted
-    dataflow programs, where conditions always constrain element labels.
+    Counts live in three plain dicts, kept equal by one private insert/remove
+    pair (:meth:`_put` / :meth:`_take`) that every mutator goes through:
 
-    External observers (heavier indexes, the incremental reaction scheduler)
-    can :meth:`subscribe` a callback that is invoked after every mutation, so
-    they stay in sync without per-step rebuilds.
+    * ``_counts``: ``element -> count``, in global insertion order;
+    * ``_by_label``: ``label -> element -> count``;
+    * ``_tags``: ``label -> tag -> element -> count``.
+
+    Every bucket lists its elements in global insertion order.  The label
+    buckets are what makes reaction matching tractable for the converted
+    dataflow programs, where conditions always constrain element labels;
+    :class:`~repro.multiset.index.LabelTagIndex` reads them in place.
+
+    External observers (the scheduler's dirty-label set, the columnar
+    mirror) can :meth:`subscribe` a callback that is invoked after every
+    mutation.
     """
 
-    __slots__ = ("_counts", "_by_label", "_size", "_listeners")
+    __slots__ = ("_counts", "_by_label", "_tags", "_holes", "_size", "_listeners")
 
     def __init__(self, elements: Optional[Iterable] = None) -> None:
-        self._counts: Counter = Counter()
-        self._by_label: Dict[str, Counter] = {}
+        self._counts: Dict[Element, int] = {}
+        self._by_label: Dict[str, Dict[Element, int]] = {}
+        self._tags: Dict[str, Dict[int, Dict[Element, int]]] = {}
+        # label -> keys deleted from its buckets since they were last built.
+        self._holes: Dict[str, int] = {}
         self._size = 0
         self._listeners: Tuple[ChangeListener, ...] = ()
         if elements is not None:
             for element in make_elements(elements):
-                self.add(element)
+                self._put(element, 1)
+
+    # -- the one store ------------------------------------------------------------
+    def _put(self, element: Element, count: int) -> None:
+        """Insert ``count`` copies into every store (no validation, no notice)."""
+        counts = self._counts
+        total = counts.get(element, 0) + count
+        counts[element] = total
+        self._size += count
+        label = element.label
+        bucket = self._by_label.get(label)
+        if bucket is None:
+            self._by_label[label] = {element: total}
+            self._tags[label] = {element.tag: {element: total}}
+            return
+        bucket[element] = total
+        tags = self._tags[label]
+        tagged = tags.get(element.tag)
+        if tagged is None:
+            tags[element.tag] = {element: total}
+        else:
+            tagged[element] = total
+
+    def _take(self, element: Element, count: int) -> None:
+        """Remove ``count`` copies from every store (no notice).
+
+        Raises ``KeyError`` before touching anything when fewer than
+        ``count`` copies are present.
+        """
+        counts = self._counts
+        have = counts.get(element, 0)
+        if have < count:
+            raise KeyError(f"cannot remove {count} x {element!r}: only {have} present")
+        self._size -= count
+        label = element.label
+        bucket = self._by_label[label]
+        tags = self._tags[label]
+        if have > count:
+            left = have - count
+            counts[element] = left
+            bucket[element] = left
+            tags[element.tag][element] = left
+            return
+        del counts[element]
+        del bucket[element]
+        tagged = tags[element.tag]
+        del tagged[element]
+        if not tagged:
+            del tags[element.tag]
+        if not bucket:
+            del self._by_label[label]
+            del self._tags[label]
+            self._holes.pop(label, None)
+            return
+        holes = self._holes.get(label, 0) + 1
+        # compaction_bound(len(bucket)), inlined: this runs per deleted key.
+        if holes > COMPACT_SLACK + len(bucket) // COMPACT_DIVISOR:
+            self._by_label[label] = dict(bucket)
+            for tag, tagged in list(tags.items()):
+                tags[tag] = dict(tagged)
+            holes = 0
+        self._holes[label] = holes
+
+    def _reset(self) -> None:
+        """Empty every store in place (views keep their references)."""
+        self._counts.clear()
+        self._by_label.clear()
+        self._tags.clear()
+        self._holes.clear()
+        self._size = 0
 
     # -- change notification ------------------------------------------------------
     def subscribe(self, listener: ChangeListener) -> ChangeListener:
@@ -118,12 +223,7 @@ class Multiset:
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
         element = self._coerce(element)
-        self._counts[element] += count
-        self._size += count
-        bucket = self._by_label.get(element.label)
-        if bucket is None:
-            bucket = self._by_label[element.label] = Counter()
-        bucket[element] += count
+        self._put(element, count)
         if self._listeners:
             self._notify(element, count)
 
@@ -142,21 +242,7 @@ class Multiset:
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
         element = self._coerce(element)
-        have = self._counts.get(element, 0)
-        if have < count:
-            raise KeyError(f"cannot remove {count} x {element!r}: only {have} present")
-        if have == count:
-            del self._counts[element]
-        else:
-            self._counts[element] = have - count
-        self._size -= count
-        bucket = self._by_label[element.label]
-        if bucket[element] == count:
-            del bucket[element]
-            if not bucket:
-                del self._by_label[element.label]
-        else:
-            bucket[element] -= count
+        self._take(element, count)
         if self._listeners:
             self._notify(element, -count)
 
@@ -194,41 +280,16 @@ class Multiset:
         instances, one copy each.  On a violation (a scheduler bug),
         ``KeyError`` is still raised, but the multiset may be left partially
         rewritten — use :meth:`replace` when inputs are untrusted.
-
-        The bodies of :meth:`remove`/:meth:`add` are inlined here (single-copy
-        specialization): this runs three times per engine step, millions of
-        times per run.
         """
-        counts = self._counts
-        by_label = self._by_label
+        take = self._take
+        put = self._put
         listeners = self._listeners
         for element in removed:
-            have = counts[element]
-            if have <= 0:
-                # Counter defaults missing keys to 0, so fail loudly ourselves:
-                # consuming an absent element is a scheduler bug, like remove().
-                raise KeyError(f"cannot remove {element!r}: not present")
-            if have == 1:
-                del counts[element]
-            else:
-                counts[element] = have - 1
-            self._size -= 1
-            bucket = by_label[element.label]
-            if bucket[element] == 1:
-                del bucket[element]
-                if not bucket:
-                    del by_label[element.label]
-            else:
-                bucket[element] -= 1
+            take(element, 1)
             for listener in listeners:
                 listener(element, -1)
         for element in added:
-            counts[element] += 1
-            self._size += 1
-            bucket = by_label.get(element.label)
-            if bucket is None:
-                bucket = by_label[element.label] = Counter()
-            bucket[element] += 1
+            put(element, 1)
             for listener in listeners:
                 listener(element, 1)
 
@@ -261,39 +322,17 @@ class Multiset:
         Like :meth:`rewrite_unchecked`, over-consumption raises ``KeyError``
         but may leave the multiset partially rewritten — inputs are trusted.
         """
-        counts = self._counts
-        by_label = self._by_label
+        take = self._take
+        put = self._put
         listeners = self._listeners
         removed_counts = removed if isinstance(removed, Mapping) else Counter(removed)
         for element, count in removed_counts.items():
-            have = counts.get(element, 0)
-            if have < count:
-                raise KeyError(
-                    f"batch rewrite would consume {count} x {element!r} "
-                    f"but only {have} present"
-                )
-            if have == count:
-                del counts[element]
-            else:
-                counts[element] = have - count
-            self._size -= count
-            bucket = by_label[element.label]
-            if bucket[element] == count:
-                del bucket[element]
-                if not bucket:
-                    del by_label[element.label]
-            else:
-                bucket[element] -= count
+            take(element, count)
             for listener in listeners:
                 listener(element, -count)
         added_counts = added if isinstance(added, Mapping) else Counter(added)
         for element, count in added_counts.items():
-            counts[element] += count
-            self._size += count
-            bucket = by_label.get(element.label)
-            if bucket is None:
-                bucket = by_label[element.label] = Counter()
-            bucket[element] += count
+            put(element, count)
             for listener in listeners:
                 listener(element, count)
 
@@ -302,8 +341,8 @@ class Multiset:
 
         The batched ingest path of cross-partition transfers and streaming
         injection: one listener notification is emitted per pair (``delta`` =
-        the pair's count), so an attached index absorbs a whole batch in one
-        pass per distinct element instead of one per copy.
+        the pair's count), so an observer absorbs a whole batch in one pass
+        per distinct element instead of one per copy.
         """
         copies = 0
         for element, count in pairs:
@@ -314,20 +353,22 @@ class Multiset:
     def drain_labels(self, labels: Iterable[str]) -> List[Tuple[Element, int]]:
         """Remove and return every element whose label is in ``labels``.
 
-        Returns ``(element, count)`` pairs in the multiset's insertion order —
-        the batched extraction half of a cross-partition transfer; feed the
-        result to another partition's :meth:`add_counts`.  One change
-        notification is emitted per distinct element (``delta`` = the full
-        multiplicity).  Labels with no elements are skipped silently.
+        Returns ``(element, count)`` pairs label by label — each distinct
+        label once, in first-occurrence order — and within a label in the
+        multiset's insertion order.  This is the batched extraction half of
+        a cross-partition transfer; feed the result to another partition's
+        :meth:`add_counts`.  One change notification is emitted per distinct
+        element (``delta`` = the full multiplicity).  Labels with no elements
+        are skipped silently.
         """
         drained: List[Tuple[Element, int]] = []
-        for label in labels:
+        for label in dict.fromkeys(labels):
             bucket = self._by_label.get(label)
-            if not bucket:
-                continue
-            drained.extend(bucket.items())
+            if bucket:
+                drained.extend(bucket.items())
         for element, count in drained:
-            self.remove(element, count)
+            self._take(element, count)
+            self._notify(element, -count)
         return drained
 
     def label_counts(self) -> Dict[str, int]:
@@ -343,9 +384,7 @@ class Multiset:
     def clear(self) -> None:
         """Remove every element."""
         removed = list(self._counts.items()) if self._listeners else []
-        self._counts.clear()
-        self._by_label.clear()
-        self._size = 0
+        self._reset()
         for element, count in removed:
             self._notify(element, -count)
 
@@ -411,10 +450,16 @@ class Multiset:
 
     # -- algebra ------------------------------------------------------------------
     def copy(self) -> "Multiset":
-        """Deep-enough copy (elements are immutable, so counts are copied)."""
+        """Deep-enough copy (elements are immutable, so counts are copied).
+
+        The clone's buckets are filled in global insertion order, so their
+        label and tag key orders are those of a from-scratch rebuild, and
+        they carry no holes.
+        """
         clone = Multiset()
+        put = clone._put
         for element, count in self._counts.items():
-            clone.add(element, count)
+            put(element, count)
         return clone
 
     def __add__(self, other: "Multiset") -> "Multiset":

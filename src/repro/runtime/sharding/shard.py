@@ -9,9 +9,9 @@ scheduler's codegenned collectors extract a maximal disjoint set of
 which is applied through one validation-free counted batch rewrite
 (:func:`~repro.gamma.matching.fire_batch`), exactly like
 :class:`~repro.gamma.engine.ParallelEngine` does globally.  Migrations
-flow through the multiset's change notifications, so the scheduler's
-persistent index and parked-reaction worklist stay fresh across transfers
-without rebuilds.
+are ordinary multiset mutations: the scheduler's index views the multiset's
+own buckets, and the change notifications keep the parked-reaction worklist
+fresh across transfers without rebuilds.
 
 The same class backs both backends: the in-process backend holds the workers
 directly; the multiprocessing backend runs one per OS process behind a small
@@ -161,7 +161,7 @@ class ShardWorker:
         """Remove and return every local element carrying one of ``labels``.
 
         The batched extraction half of an exchange transfer; the removal
-        notifications keep the scheduler's index and worklist fresh.
+        notifications keep the scheduler's worklist fresh.
         """
         return self.multiset.drain_labels(labels)
 

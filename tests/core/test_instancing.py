@@ -10,7 +10,10 @@ from repro.core import (
     program_to_graphs,
 )
 from repro.dataflow import run_graph
-from repro.gamma import ParallelEngine, run
+from repro.gamma import GammaProgram, ParallelEngine, run
+from repro.gamma.expr import var
+from repro.gamma.pattern import pattern, template
+from repro.gamma.reaction import Branch, Reaction
 from repro.gamma.stdlib import (
     gcd_program,
     min_element,
@@ -19,6 +22,7 @@ from repro.gamma.stdlib import (
     sum_reduction,
     values_multiset,
 )
+from repro.multiset import Element, Multiset
 from repro.workloads.paper_examples import example2_expected_result, example2_graph
 from repro.api import RuntimeConfig
 
@@ -135,3 +139,83 @@ class TestExecutionViaDataflow:
     def test_equivalence_checker_wrapper(self):
         report = check_gamma_vs_dataflow(min_element(), values_multiset([4, 9, 2]), seeds=(0, 1))
         assert report.passed, report.summary()
+
+
+def _pairing_program():
+    """A variable-label reaction: two same-label, same-tag elements become
+    one ``x`` element at the next tag.  Its candidate pools span every
+    label, so label key order is an input of every (seeded) decision."""
+    pairing = Reaction(
+        "Rpair",
+        [
+            pattern("a", "lbl", "t", label_is_variable=True),
+            pattern("b", "lbl", "t", label_is_variable=True),
+        ],
+        [Branch(productions=[template(var("a") + var("b"), "x", var("t") + 1)])],
+    )
+    return GammaProgram([pairing], name="pairing")
+
+
+_PAIRING_INITIAL = [
+    (1, "x", 0), (10, "y", 1), (2, "x", 1), (3, "x", 0),
+    (20, "y", 0), (30, "y", 0), (4, "x", 1), (5, "x", 1),
+]
+
+
+class TestLabelOrderUnderReattach:
+    """Instancing attaches a fresh scheduler each round to an evolving
+    multiset.  The scheduler's index views the multiset's own label order,
+    so ``execute_via_dataflow`` hands each round a multiset in from-scratch
+    order; the decisions below are pinned by value."""
+
+    def test_round_one_reorders_labels(self):
+        # The precondition the pins rely on: rewriting round one in place
+        # leaves ``x`` ahead of ``y``, while a rebuild starts at ``y``.
+        multiset = Multiset(_PAIRING_INITIAL)
+        multiset.replace(
+            [Element(1, "x", 0), Element(3, "x", 0), Element(20, "y", 0),
+             Element(30, "y", 0), Element(2, "x", 1), Element(4, "x", 1)],
+            [Element(4, "x", 1), Element(50, "x", 1), Element(6, "x", 2)],
+        )
+        assert multiset.labels() == ["x", "y"]
+        assert multiset.copy().labels() == ["y", "x"]
+
+    @pytest.mark.parametrize(
+        "seed, rounds",
+        [
+            (None, [[(1, 3), (2, 4), (20, 30)], [(5, 4)], [(6, 9)]]),
+            (0, [[(5, 2), (3, 1), (30, 20)], [(50, 4)], [(7, 54)]]),
+            (1, [[(4, 2), (20, 30), (1, 3)], [(4, 50)], [(6, 54)]]),
+            (2, [[(4, 5), (3, 1), (20, 30)], [(2, 4)], [(9, 6)]]),
+            (3, [[(1, 3), (30, 20), (2, 5)], [(50, 4)], [(7, 54)]]),
+        ],
+    )
+    def test_fig4_instancing_decisions(self, seed, rounds):
+        emulated = execute_via_dataflow(
+            _pairing_program(), Multiset(_PAIRING_INITIAL), seed=seed, keep_graphs=True
+        )
+        assert [
+            [tuple(e.value for e in info.match.consumed) for info in graph.instances]
+            for graph in emulated.round_graphs
+        ] == rounds
+
+    @pytest.mark.parametrize(
+        "seed, steps",
+        [
+            (0, [[(5, 2), (3, 1), (30, 20)], [(4, 4)], [(8, 7)]]),
+            (1, [[(4, 2), (20, 30), (1, 3)], [(50, 5)], [(55, 6)]]),
+            (2, [[(4, 5), (3, 1), (20, 30)], [(2, 4)], [(9, 6)]]),
+            (3, [[(1, 3), (30, 20), (2, 5)], [(4, 4)], [(7, 8)]]),
+        ],
+    )
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_seeded_parallel_engine_decisions(self, seed, steps, compiled):
+        # One scheduler for the whole run: its index follows the live
+        # multiset's history from the initial copy on.
+        result = ParallelEngine(seed=seed, compiled=compiled).run(
+            _pairing_program(), Multiset(_PAIRING_INITIAL)
+        )
+        assert [
+            [tuple(e.value for e in firing.consumed) for firing in step.firings]
+            for step in result.trace.steps
+        ] == steps

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.multiset import Element, LabelTagIndex, Multiset
-from repro.multiset import index as index_module
-from repro.multiset.index import compaction_bound
+from repro.multiset import multiset as multiset_module
+from repro.multiset.multiset import compaction_bound
 
 
 class TestIndexMaintenance:
@@ -78,7 +78,7 @@ def _assert_compacted_in_rebuild_order(index, multiset, labels, rebuild=True):
     rebuilt = LabelTagIndex(multiset) if rebuild else None
     for label in labels:
         candidates = index.candidates(label)
-        assert index._deleted.get(label, 0) <= compaction_bound(len(candidates))
+        assert multiset._holes.get(label, 0) <= compaction_bound(len(candidates))
         if rebuilt is None:
             # A rebuild lists a label's candidates in multiset insertion order.
             assert candidates == [e for e in multiset.distinct() if e.label == label]
@@ -133,7 +133,7 @@ class TestBucketCompactionProperties:
     @settings(max_examples=100, deadline=None)
     def test_random_churn_keeps_both_invariants(self, initial, ops):
         # A small slack makes these short sequences compact often.
-        with mock.patch.object(index_module, "COMPACT_SLACK", 1):
+        with mock.patch.object(multiset_module, "COMPACT_SLACK", 1):
             multiset = Multiset(initial)
             index = LabelTagIndex().attach(multiset)
             for op in ops:

@@ -119,6 +119,17 @@ class TestQueries:
         restricted = m.restrict_labels(["A", "C"])
         assert restricted == ms((1, "A"), (3, "C"))
 
+    def test_drain_labels_drains_a_repeated_label_once(self):
+        m = ms((1, "A"), (2, "B"), (3, "A", 1), (4, "C"))
+        m.add(Element(1, "A"))
+        events = []
+        m.subscribe(lambda element, delta: events.append((element.value, delta)))
+        drained = m.drain_labels(["A", "B", "A", "Z"])
+        # Each distinct label once, in first-occurrence order; full counts.
+        assert drained == [(Element(1, "A"), 2), (Element(3, "A", 1), 1), (Element(2, "B"), 1)]
+        assert events == [(1, -2), (3, -1), (2, -1)]
+        assert m == ms((4, "C"))
+
     def test_to_tuples_sorted_round_trip(self):
         m = ms((3, "C", 1), (1, "A"), (2, "B"))
         assert Multiset.from_tuples(m.to_tuples()) == m

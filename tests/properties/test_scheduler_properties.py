@@ -2,8 +2,8 @@
 
 Two families of properties back the persistent-index refactor:
 
-* an *attached* :class:`LabelTagIndex`, maintained through the multiset's
-  change notifications, must stay equal to a from-scratch rebuild after any
+* an *attached* :class:`LabelTagIndex`, a view of the live multiset's
+  buckets, must stay equal to a from-scratch rebuild after any
   sequence of ``add``/``remove``/``replace`` operations — including the bucket
   *ordering*, which the seeded schedulers depend on;
 * all three engines must reach the same stable observables on the paper's
