@@ -11,7 +11,9 @@ as **per-label buckets of parallel arrays** —
   slot per distinct element, append-only).  When numpy is importable the
   sweeps view these columns zero-copy through ``numpy.frombuffer``; without
   numpy the same columns are scanned scalar-wise, so numpy stays a purely
-  optional extra and the stored state is identical either way.
+  optional extra and the stored state is identical either way.  numpy is
+  imported lazily, by the first sweep that asks :func:`numpy_or_none` for
+  it, so importing this module (every shard server does) costs no numpy.
 * ``elements`` — the slot -> :class:`Element` objects, preserving the exact
   value objects (``True`` vs ``1``, non-int payloads) so conversion back to
   a :class:`Multiset` is lossless.
@@ -55,23 +57,32 @@ __all__ = [
     "ColumnBatch",
 ]
 
-try:  # pragma: no cover - exercised via both CI legs, not branch-countable
-    if os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0"):
-        _np = None  # test/CI seam: force the pure-Python fallback
-    else:
-        import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
+#: The numpy module, ``None`` for the pure-Python fallback, or ``_UNRESOLVED``
+#: until :func:`numpy_or_none` first runs.  Assigning ``None`` here is the
+#: test seam that forces the fallback; restoring the saved value undoes it.
+_UNRESOLVED: Any = object()
+_np: Any = _UNRESOLVED
 
 
 def numpy_or_none():
     """The numpy module when available (and not disabled), else ``None``.
 
-    The vectorized kernels call this at use time rather than importing numpy
-    themselves, so a single seam (monkeypatching this module's ``_np``, or
-    setting ``REPRO_NO_NUMPY=1`` before import) switches the whole stack to
-    the pure-Python fallback.
+    numpy is imported on the first call, not when this module is imported:
+    only the columnar kernels use it, so a process that never sweeps (the
+    sequential engine, a shard server) never pays for it.  The vectorized
+    kernels call this at use time rather than importing numpy themselves, so
+    a single seam (monkeypatching this module's ``_np`` to ``None``, or
+    setting ``REPRO_NO_NUMPY=1`` before the first call) switches the whole
+    stack to the pure-Python fallback.
     """
+    global _np
+    if _np is _UNRESOLVED:
+        _np = None
+        if os.environ.get("REPRO_NO_NUMPY", "") in ("", "0"):
+            try:
+                import numpy as _np
+            except ImportError:  # pragma: no cover - numpy-less environments
+                pass
     return _np
 
 
@@ -207,12 +218,13 @@ class ColumnarBucket:
         Views must be re-taken after any append (the underlying buffer may
         have been reallocated); returns ``None`` without numpy.
         """
-        if _np is None:
+        np_ = numpy_or_none()
+        if np_ is None:
             return None
         return (
-            _np.frombuffer(self.values, dtype=_np.int64),
-            _np.frombuffer(self.tags, dtype=_np.int64),
-            _np.frombuffer(self.counts, dtype=_np.int64),
+            np_.frombuffer(self.values, dtype=np_.int64),
+            np_.frombuffer(self.tags, dtype=np_.int64),
+            np_.frombuffer(self.counts, dtype=np_.int64),
         )
 
 

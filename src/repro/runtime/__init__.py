@@ -18,40 +18,37 @@
   worker death (:mod:`repro.runtime.recovery`), exercised by the seeded
   fault-injection harness in :mod:`repro.runtime.faults`,
 * :class:`PEPool` / :class:`ParallelRunMetrics` — the shared cost model.
+
+Every name above is imported from its submodule on first access (PEP 562),
+so importing one submodule — a shard server imports only
+:mod:`repro.runtime.net.server` — does not load the others.
 """
 
-from .df_simulator import DataflowSimulationResult, DataflowSimulator, simulate_graph
-from .distributed import DistributedGammaRuntime, DistributedRunResult
-from .elasticity import ElasticityDecision, ElasticityPlan, ElasticityPolicy
-from .faults import FaultEvent, FaultInjector, FaultSchedule, install_faults
-from .gamma_simulator import GammaSimulationResult, GammaSimulator, simulate_program
-from .metrics import ParallelRunMetrics, speedup_curve
-from .pe import PEPool, ProcessingElement
-from .recovery import (
-    Checkpoint,
-    CheckpointStore,
-    DiskCheckpointStore,
-    DiskWriteAheadLog,
-    MemoryCheckpointStore,
-    MemoryWriteAheadLog,
-    RecoveryManager,
-    WALRecord,
-    WorkerDied,
-    WriteAheadLog,
-)
-from .net import (
-    FrameError,
-    GatewayClient,
-    IngestGateway,
-    NetworkBackend,
-)
-from .sharding import ShardCoordinator, ShardedRunResult
-from .streaming import (
-    EpochReport,
-    IngestQueue,
-    StreamingGammaRuntime,
-    StreamRunResult,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".df_simulator": (
+        "DataflowSimulationResult", "DataflowSimulator", "simulate_graph",
+    ),
+    ".distributed": ("DistributedGammaRuntime", "DistributedRunResult"),
+    ".elasticity": ("ElasticityDecision", "ElasticityPlan", "ElasticityPolicy"),
+    ".faults": ("FaultEvent", "FaultInjector", "FaultSchedule", "install_faults"),
+    ".gamma_simulator": (
+        "GammaSimulationResult", "GammaSimulator", "simulate_program",
+    ),
+    ".metrics": ("ParallelRunMetrics", "speedup_curve"),
+    ".pe": ("PEPool", "ProcessingElement"),
+    ".recovery": (
+        "Checkpoint", "CheckpointStore", "DiskCheckpointStore",
+        "DiskWriteAheadLog", "MemoryCheckpointStore", "MemoryWriteAheadLog",
+        "RecoveryManager", "WALRecord", "WorkerDied", "WriteAheadLog",
+    ),
+    ".net": ("FrameError", "GatewayClient", "IngestGateway", "NetworkBackend"),
+    ".sharding": ("ShardCoordinator", "ShardedRunResult"),
+    ".streaming": (
+        "EpochReport", "IngestQueue", "StreamingGammaRuntime", "StreamRunResult",
+    ),
+})
 
 __all__ = [
     "DataflowSimulator", "DataflowSimulationResult", "simulate_graph",

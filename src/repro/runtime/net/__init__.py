@@ -20,22 +20,24 @@ door for streamed ingestion.
   :class:`~repro.runtime.streaming.IngestQueue` with per-tenant admission
   control and refuse-or-block backpressure; :class:`GatewayClient` is the
   producer-side helper.
+
+The names are imported from these submodules on first access (PEP 562):
+a shard server imports :mod:`~repro.runtime.net.server` alone, without the
+backend's or the gateway's code.
 """
 
-from .backend import NetworkBackend
-from .frames import (
-    DEFAULT_MAX_FRAME,
-    ConnectionClosed,
-    FrameCorrupt,
-    FrameDecoder,
-    FrameError,
-    FrameTooLarge,
-    FrameTruncated,
-    decode_frame,
-    encode_frame,
-)
-from .gateway import GatewayClient, IngestGateway
-from .server import handle_shard_connection, shard_server_main
+from ..._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".backend": ("NetworkBackend",),
+    ".frames": (
+        "DEFAULT_MAX_FRAME", "ConnectionClosed", "FrameCorrupt",
+        "FrameDecoder", "FrameError", "FrameTooLarge", "FrameTruncated",
+        "decode_frame", "encode_frame",
+    ),
+    ".gateway": ("GatewayClient", "IngestGateway"),
+    ".server": ("handle_shard_connection", "shard_server_main"),
+})
 
 __all__ = [
     "NetworkBackend",

@@ -40,9 +40,11 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import multiprocessing.forkserver
 import os
 import secrets
 import threading
+from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...gamma.reaction import Reaction
@@ -70,6 +72,33 @@ _REPLY_TIMEOUT = 300.0
 
 #: Seconds to wait for a freshly spawned server to report its port.
 _SPAWN_TIMEOUT = 30.0
+
+#: The directory holding the ``repro`` package (``src`` in a checkout).
+_PACKAGE_ROOT = str(Path(__file__).resolve().parents[3])
+
+
+def _start_forkserver() -> None:
+    """Start the forkserver with the shard-server code imported, once.
+
+    Python 3.11's ``multiprocessing.forkserver.main`` accepts the parent's
+    ``sys_path`` but never applies it, so when the parent found ``repro``
+    through ``sys.path`` alone (not ``PYTHONPATH`` or an install) the
+    preload's ``ImportError`` is swallowed and every shard server imports
+    the package again after the fork.  The directory holding ``repro`` is
+    therefore put on ``PYTHONPATH`` for the one exec that starts the
+    forkserver, and the environment is restored right after.  Returns at
+    once when the forkserver already runs.
+    """
+    multiprocessing.forkserver.set_forkserver_preload(["repro.runtime.net.server"])
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_PACKAGE_ROOT, saved)))
+    try:
+        multiprocessing.forkserver.ensure_running()
+    finally:
+        if saved is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved
 
 
 def _reply_timeout() -> float:
@@ -101,19 +130,21 @@ class NetworkBackend:
         recovery all launch servers while the backend's event-loop thread
         (and possibly executor threads) are alive, and forking a
         multi-threaded parent is deprecated and deadlock-prone.  The
-        forkserver helper forks from a clean, thread-free process instead,
-        with :mod:`repro.runtime.net.server` preloaded so each shard server
-        skips the import cost.  Construction fails fast — an unreachable or
-        misbehaving server aborts the whole backend.
+        forkserver helper forks from a clean, thread-free process instead.
+        The first backend starts it with :mod:`repro.runtime.net.server`
+        preloaded (see :func:`_start_forkserver` for why that needs
+        ``PYTHONPATH`` on 3.11, which leaves the handed-over ``sys_path``
+        unapplied), so every shard server is a warm fork that does not
+        import the package again.  Construction fails fast — an unreachable
+        or misbehaving server aborts the whole backend.
         """
         self.routing = routing
         self.num_shards = num_shards
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "forkserver" if "forkserver" in methods else "spawn"
-        )
-        if hasattr(self._context, "set_forkserver_preload"):
-            self._context.set_forkserver_preload(["repro.runtime.net.server"])
+        if "forkserver" in multiprocessing.get_all_start_methods():
+            self._context = multiprocessing.get_context("forkserver")
+            _start_forkserver()
+        else:
+            self._context = multiprocessing.get_context("spawn")
         #: Per-backend shared secret: servers receive it through the spawn
         #: arguments and refuse (silently) any connection that does not
         #: present it first, so no unauthenticated peer ever reaches the

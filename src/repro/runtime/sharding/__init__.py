@@ -33,14 +33,22 @@ fault-injection harness in :mod:`repro.runtime.faults`.
 
 Entry points: :class:`ShardCoordinator` directly, or
 ``DistributedGammaRuntime(..., config=RuntimeConfig(backend=...))``.
+
+The names are imported from their submodules on first access (PEP 562), so
+a shard server, which needs only :class:`ShardWorker` and
+:class:`RoutingTable`, loads neither the coordinator nor the recovery code.
 """
 
-from .coordinator import ShardCoordinator, ShardedRunResult, ShardSession
-from .inprocess import InProcessBackend
-from .mp import MultiprocessingBackend
-from .quiescence import QuiescenceDetector
-from .routing import RoutingTable, Transfer
-from .shard import LocalReport, ShardWorker
+from ..._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".coordinator": ("ShardCoordinator", "ShardSession", "ShardedRunResult"),
+    ".inprocess": ("InProcessBackend",),
+    ".mp": ("MultiprocessingBackend",),
+    ".quiescence": ("QuiescenceDetector",),
+    ".routing": ("RoutingTable", "Transfer"),
+    ".shard": ("LocalReport", "ShardWorker"),
+})
 
 __all__ = [
     "ShardCoordinator",

@@ -1,5 +1,12 @@
 """Unit tests for the columnar multiset storage layer."""
 
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.multiset import columnar as columnar_module
@@ -193,3 +200,52 @@ class TestColumnBatches:
         batch = to_column_batch([])
         assert column_batch_copies(batch) == 0
         assert from_column_batch(batch) == []
+
+
+#: Runs one columnar sequential drain in a fresh interpreter and reports
+#: whether numpy was loaded before and after it, and which module the
+#: columnar seam handed out.
+_FIRST_USE_SCRIPT = """
+import json, sys
+from repro.api import RuntimeConfig, run
+from repro.gamma.stdlib import min_element, values_multiset
+from repro.multiset import columnar
+before = "numpy" in sys.modules
+result = run(min_element(), values_multiset(range(64)),
+             config=RuntimeConfig(engine="sequential", columnar=True))
+np_ = columnar.numpy_or_none()
+print(json.dumps({
+    "before": before,
+    "after": "numpy" in sys.modules,
+    "seam": None if np_ is None else np_.__name__,
+    "final": sorted(e.value for e in result.final),
+}))
+"""
+
+
+def _first_use(no_numpy):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
+    env.pop("REPRO_NO_NUMPY", None)
+    if no_numpy:
+        env["REPRO_NO_NUMPY"] = "1"
+    result = subprocess.run(
+        [sys.executable, "-c", _FIRST_USE_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+class TestLazyNumpy:
+    """numpy is imported by the first columnar kernel call, not by imports."""
+
+    @pytest.mark.skipif(
+        importlib.util.find_spec("numpy") is None, reason="numpy not installed"
+    )
+    def test_first_kernel_call_loads_numpy(self):
+        report = _first_use(no_numpy=False)
+        assert report == {"before": False, "after": True, "seam": "numpy", "final": [0]}
+
+    def test_environment_switch_is_read_at_first_use(self):
+        report = _first_use(no_numpy=True)
+        assert report == {"before": False, "after": False, "seam": None, "final": [0]}

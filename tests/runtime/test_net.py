@@ -18,9 +18,14 @@ Three layers, mirroring the module split of :mod:`repro.runtime.net`:
 
 import asyncio
 import multiprocessing
+import os
+import re
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +55,21 @@ FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 fork_only = pytest.mark.skipif(
     not FORK_AVAILABLE, reason="fork start method unavailable"
 )
+
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: Starts a 3-shard backend in an interpreter that finds ``repro`` through
+#: ``sys.path`` alone, the way ``benchmarks/e2e/run.py`` does.
+_WARM_START_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.gamma.stdlib import min_element
+from repro.runtime.net import NetworkBackend
+from repro.runtime.sharding import RoutingTable
+reactions = list(min_element().reactions)
+NetworkBackend(reactions, 3, RoutingTable(reactions, 3), seed=1).stop()
+"""
 
 
 def _sequential(program, initial):
@@ -477,6 +497,34 @@ class TestNetworkBackend:
             assert report.stable  # fresh (empty) worker answers the protocol
         finally:
             backend.stop()
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="forkserver start method unavailable",
+    )
+    def test_shard_servers_fork_warm_without_pythonpath(self, tmp_path):
+        """The forkserver preloads the server code even off ``PYTHONPATH``.
+
+        Python 3.11's forkserver ignores the parent's ``sys.path``, so
+        without the backend's ``PYTHONPATH`` handoff its preload fails
+        silently and every shard server imports the package again.  CI
+        exports ``PYTHONPATH=src``, which hides that, so the check runs a
+        clean interpreter outside the repo under ``-X importtime`` (the
+        forkserver and its forks inherit the flag): the server module is
+        imported by the parent and the forkserver only, never by a shard.
+        """
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c",
+             _WARM_START_SCRIPT.format(src=SRC)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        imports = [
+            line for line in result.stderr.splitlines()
+            if re.search(r"\|\s*repro\.runtime\.net\.server$", line)
+        ]
+        assert len(imports) == 2, imports
 
 
 class TestIngestQueueBatchAdmission:
