@@ -42,12 +42,16 @@ the key alone the compiler derives
   through :func:`~repro.gamma.matching.lazy_shuffle` (one draw per candidate
   visited), and ``collect_rng`` is ``collect_det``'s body with one extra
   line — the per-superstep bucket snapshot is shuffled when its view is
-  built (one permutation per bucket per superstep).
+  built (one permutation per bucket per superstep).  The collectors claim,
+  produce and count in one pass, straight into a
+  :class:`~repro.gamma.matching.SuperstepBatch`.
 
 Guards and productions evaluated outside the matcher (``lambda E: ...``
-closures over a binding dict) and the columnar mask programs of
-:mod:`repro.gamma.vectorized` go through caches of the same kind, keyed by
-their own constant-lifted ASTs.
+closures over a binding dict), the collectors' per-reaction *production
+functions* over slot values (keyed by :class:`ProductionKey`, so
+productions never split a :class:`ReactionShape`) and the columnar mask
+programs of :mod:`repro.gamma.vectorized` go through caches of the same
+kind, keyed by their own constant-lifted ASTs.
 
 **Stage 2, reaction -> bindings** (once per reaction, cheap).
 ``CompiledReaction(reaction)`` collects the reaction's ``C`` (labels, tags,
@@ -116,7 +120,7 @@ from .expr import (
     Var,
     _safe_div,
 )
-from .matching import Match, lazy_shuffle
+from .matching import Match, SuperstepBatch, lazy_shuffle
 from .pattern import Binding, ElementPattern, ElementTemplate
 from .reaction import Reaction
 
@@ -126,6 +130,7 @@ __all__ = [
     "CompiledMatch",
     "CompiledReaction",
     "MatchPlan",
+    "ProductionKey",
     "ReactionShape",
     "compile_cache_info",
     "compile_expr",
@@ -287,6 +292,20 @@ def _compose(expr: Expr) -> Callable[[Binding], Any]:
     return expr.evaluate
 
 
+def _checked_label(label: Any) -> str:
+    """A produced element's label, validated like ``ElementTemplate.instantiate``."""
+    if not isinstance(label, str):
+        raise TypeError(f"produced label must be a string, got {label!r}")
+    return label
+
+
+def _checked_tag(tag: Any) -> int:
+    """A produced element's tag, validated like ``ElementTemplate.instantiate``."""
+    if isinstance(tag, bool) or not isinstance(tag, int):
+        raise TypeError(f"produced tag must be an int, got {tag!r}")
+    return tag
+
+
 #: Globals of every generated module (builtins pinned to one dict lookup).
 _NAMESPACE: Dict[str, Any] = {
     "_div": _safe_div,
@@ -298,6 +317,9 @@ _NAMESPACE: Dict[str, Any] = {
     "len": len,
     "range": range,
     "lazy_shuffle": lazy_shuffle,
+    "Element": Element,
+    "_checked_label": _checked_label,
+    "_checked_tag": _checked_tag,
 }
 
 #: Stage-1 cache of ``lambda E: ...`` closure factories, keyed by expression key.
@@ -574,16 +596,21 @@ class _MatcherEmitter:
             writer.w(f"if not ({alternatives}):")
             writer.w("    continue")
 
-    def match_source(self, times: str = "") -> str:
+    def consumed_elements(self) -> List[str]:
+        """The consumed-element locals in declaration order."""
+        return [f"e{self.plan.order.index(p)}" for p in range(len(self.shape.patterns))]
+
+    def match_source(self) -> str:
         """The match tuple ``(consumed, binding)`` — declaration-order
-        consumed elements, slot-order binding dict — with ``times`` appended
-        as a third item when given (the collectors' multiplicity)."""
-        arity = len(self.shape.patterns)
-        consumed = ", ".join(f"e{self.plan.order.index(p)}" for p in range(arity))
+        consumed elements, slot-order binding dict."""
+        consumed = _tuple_source(self.consumed_elements())
         binding = ", ".join(f"{name!r}: {self.slot_ref(name)}" for name in self.plan.slots)
-        suffix = "," if arity == 1 else ""
-        extra = f", {times}" if times else ""
-        return f"(({consumed}{suffix}), {{{binding}}}{extra})"
+        return f"({consumed}, {{{binding}}})"
+
+
+def _tuple_source(items: Sequence[str]) -> str:
+    """Source of a tuple display of ``items`` (one-tuples included)."""
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
 
 def _emit_matcher_body(emitter: _MatcherEmitter, shuffled: bool, emit: str) -> None:
@@ -658,24 +685,32 @@ def _emit_matcher_body(emitter: _MatcherEmitter, shuffled: bool, emit: str) -> N
 
 
 def _emit_collect_body(emitter: _MatcherEmitter, shuffled: bool) -> None:
-    """Emit the superstep *collector*: a greedy disjoint set of ``(tuple, k)``.
+    """Emit the superstep *collector*: a greedy disjoint set of ``(tuple, k)``,
+    claimed, produced and counted in one pass.
 
     The collector visits tuples like the iterate variant but threads a shared
     ``rem`` map (element -> copies still unclaimed this superstep, lazily
     initialized, shared across all reactions) through the candidate checks.
     A tuple ``e_0..e_{n-1}`` that passed the guard and branch conditions is
     fired *with multiplicity*: with ``a_i`` the unclaimed copies of ``e_i``
-    and ``m_i`` the number of slots holding that same object, it yields
-    ``(consumed, binding, k)`` for ``k = min_i(a_i // m_i)`` — every firing
-    of this tuple the superstep can still afford, ``k >= 1`` by the candidate
-    checks — and claims ``k`` copies per slot.  So each distinct combination
-    is visited once *and* left with nothing more to give, matching cost
-    scales with distinct elements rather than copies, and the set is maximal:
-    no visited tuple could fire again.  After each yield the loops break back
-    out to the shallowest level whose element is exhausted instead of
-    rescanning consumed candidates, so one call runs in near-linear time and
-    the per-firing probe restart of the sequential engines disappears — which
-    is where the parallel backend's throughput comes from.
+    and ``m_i`` the number of slots holding that same object, it is claimed
+    ``k = min_i(a_i // m_i)`` times — every firing of this tuple the
+    superstep can still afford, ``k >= 1`` by the candidate checks — clipped
+    to the firings left in ``room`` (``None``: unbounded).  The claim goes
+    straight into the :class:`~repro.gamma.matching.SuperstepBatch`: ``k``
+    copies per slot into ``removed`` (declaration order), the reaction's
+    production function ``_P`` — called on the slot values — counts one
+    firing's elements ``k`` times into ``added``, and one flat decision
+    record is appended; no match or binding dict is built.  Collection
+    returns the firings claimed as soon as ``room`` is used up.  So each
+    distinct combination is visited once *and* left with nothing more to
+    give, matching cost scales with distinct elements rather than copies,
+    and the set is maximal: no visited tuple could fire again.  After each
+    claim the loops break back out to the shallowest level whose element is
+    exhausted instead of rescanning consumed candidates, so one call runs in
+    near-linear time and the per-firing probe restart of the sequential
+    engines disappears — which is where the parallel backend's throughput
+    comes from.
 
     Only generated for plans whose every position has a known label (constant
     or bound by an earlier position): each level is then exactly one bucket
@@ -687,6 +722,10 @@ def _emit_collect_body(emitter: _MatcherEmitter, shuffled: bool) -> None:
     order = emitter.plan.order
     arity = len(order)
 
+    writer.w("removed = batch.removed")
+    writer.w("added = batch.added")
+    writer.w("rec = batch.records.append")
+    writer.w("_fired = 0")
     if arity > 1:
         writer.w("_stop = -1")
 
@@ -768,9 +807,11 @@ def _emit_collect_body(emitter: _MatcherEmitter, shuffled: bool) -> None:
     # emitted for slot pairs the shape lets collide, so the common case is a
     # plain min over the a_i.  Slots sharing one object compute the same
     # (a, m), hence the same idempotent ``rem`` store below.
+    # The innermost level read its ``rem`` entry after every enclosing
+    # claim, so ``r`` is still current there; outer levels re-read.
     partners = [emitter.partners(k) for k in range(arity)]
     for k in range(arity):
-        writer.w(f"x{k} = rem.get(e{k})")
+        writer.w(f"x{k} = r{k}" if k == arity - 1 else f"x{k} = rem.get(e{k})")
         writer.w(f"if x{k} is None:")
         writer.w(f"    x{k} = mcount(e{k})")
         quota = f"x{k}"
@@ -784,10 +825,23 @@ def _emit_collect_body(emitter: _MatcherEmitter, shuffled: bool) -> None:
         else:
             writer.w(f"if {quota} < _k:")
             writer.w(f"    _k = {quota}")
+    writer.w("if room is not None and _k > room - _fired:")
+    writer.w("    _k = room - _fired")
     for k in range(arity):
         claimed = f"_k * m{k}" if partners[k] else "_k"
-        writer.w(f"rem[e{k}] = x{k} - {claimed}")
-    writer.w(f"yield {emitter.match_source(times='_k')}")
+        writer.w(f"rem[e{k}] = y{k} = x{k} - {claimed}")
+
+    # -- the claim, counted into the batch ----------------------------------
+    consumed = emitter.consumed_elements()
+    for element in consumed:
+        writer.w(f"removed[{element}] = removed.get({element}, 0) + _k")
+    slots = [f"s{i}" for i in range(len(emitter.plan.slots))]
+    produce = f"_P(added, _k, {', '.join(slots + consumed)})"
+    writer.w(f"rec((_owner, {_tuple_source(consumed)}, {produce}, _k))")
+    writer.w("_fired += _k")
+    writer.w("if _fired == room:")
+    writer.w("    batch.firings += _fired")
+    writer.w("    return _fired")
 
     # -- advance the shallowest exhausted loop ------------------------------
     if arity > 1:
@@ -801,9 +855,9 @@ def _emit_collect_body(emitter: _MatcherEmitter, shuffled: bool) -> None:
             prior = emitter.colliders(j)
             if prior:
                 need = " + ".join(f"(e{j} is e{i})" for i in prior)
-                writer.w(f"{keyword} rem[e{j}] < 1 + {need}:")
+                writer.w(f"{keyword} y{j} < 1 + {need}:")
             else:
-                writer.w(f"{keyword} rem[e{j}] <= 0:")
+                writer.w(f"{keyword} y{j} <= 0:")
             writer.w(f"    _stop = {j}")
         writer.w("if _stop != -1:")
         writer.w("    break")
@@ -837,7 +891,7 @@ def _matcher_source(shape: ReactionShape, plan: MatchPlan, variant: str) -> str:
     writer = emitter.writer
     args = "_idx, _flat, rng, mcount" if shuffled else "_idx, _flat, mcount"
     if mode == "collect":
-        args += ", rem, views"
+        args += ", rem, views, batch, _P, _owner, room"
     writer.w(f"def matcher({args}):")
     writer.indent = 1
     if mode == "collect":
@@ -847,6 +901,9 @@ def _matcher_source(shape: ReactionShape, plan: MatchPlan, variant: str) -> str:
     writer.indent = 1
     if mode == "find":
         writer.w("return None")
+    elif mode == "collect":
+        writer.w("batch.firings += _fired")
+        writer.w("return _fired")
     body = "\n".join("    " + line for line in writer.lines)
     return f"def make(C, H):\n{body}\n    return matcher\n"
 
@@ -893,6 +950,33 @@ def compile_cache_info() -> CompileCacheInfo:
 # Compiled productions
 # ---------------------------------------------------------------------------
 
+def _constant_element(template: ElementTemplate) -> Optional[Element]:
+    """The element an all-constant template always produces, or ``None``.
+
+    ``None`` also when a constant is invalid: that template must fail at
+    firing time, like ``instantiate`` does.
+    """
+    if not (_constant_site(template) and isinstance(template.value, Const)):
+        return None
+    try:
+        return Element(value=template.value.value, label=template.label.value, tag=template.tag.value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _constant_site(template: ElementTemplate) -> bool:
+    """True when the template's label and tag are valid constants (their
+    per-firing type checks are discharged at compile time)."""
+    label, tag = template.label, template.tag
+    return (
+        isinstance(label, Const)
+        and isinstance(tag, Const)
+        and isinstance(label.value, str)
+        and isinstance(tag.value, int)
+        and not isinstance(tag.value, bool)
+    )
+
+
 def _compile_template(template: ElementTemplate) -> Callable[[Binding], Element]:
     """Compile one production template, preserving ``instantiate`` semantics.
 
@@ -900,20 +984,14 @@ def _compile_template(template: ElementTemplate) -> Callable[[Binding], Element]
     type checks (they are discharged here, at compile time); an all-constant
     template becomes a single shared immutable element.
     """
-    if isinstance(template.label, Const) and isinstance(template.tag, Const):
+    element = _constant_element(template)
+    if element is not None:
+        return lambda env: element
+    if _constant_site(template):
         label = template.label.value
         tag = template.tag.value
-        if isinstance(label, str) and isinstance(tag, int) and not isinstance(tag, bool):
-            if isinstance(template.value, Const):
-                try:
-                    element = Element(value=template.value.value, label=label, tag=tag)
-                except (TypeError, ValueError):
-                    pass  # invalid constant: fail at firing time, like instantiate
-                else:
-                    return lambda env: element
-            else:
-                value_of = _compile_env_expr(template.value)
-                return lambda env: Element(value=value_of(env), label=label, tag=tag)
+        value_of = _compile_env_expr(template.value)
+        return lambda env: Element(value=value_of(env), label=label, tag=tag)
 
     value_fn = _compile_env_expr(template.value)
     label_fn = _compile_env_expr(template.label)
@@ -921,15 +999,167 @@ def _compile_template(template: ElementTemplate) -> Callable[[Binding], Element]
 
     def produce(env: Binding) -> Element:
         """Instantiate the template under ``env`` (validated label/tag)."""
-        label = label_fn(env)
-        if not isinstance(label, str):
-            raise TypeError(f"produced label must be a string, got {label!r}")
-        tag = tag_fn(env)
-        if isinstance(tag, bool) or not isinstance(tag, int):
-            raise TypeError(f"produced tag must be an int, got {tag!r}")
+        label = _checked_label(label_fn(env))
+        tag = _checked_tag(tag_fn(env))
         return Element(value=value_fn(env), label=label, tag=tag)
 
     return produce
+
+
+def _slot_sites(shape: ReactionShape, plan: MatchPlan) -> Dict[str, Tuple[int, str]]:
+    """Where each variable's slot value comes from: ``(p, attr)`` for the
+    declaration-order pattern ``p`` and field the compiled matcher binds it
+    from (its first occurrence in plan order)."""
+    sites: Dict[str, Tuple[int, str]] = {}
+    for position in plan.order:
+        for (kind, name), attr in zip(shape.patterns[position], ("value", "label", "tag")):
+            if kind == "v" and name not in sites:
+                sites[name] = (position, attr)
+    return sites
+
+
+def _template_key(
+    canon: _Canon,
+    template: ElementTemplate,
+    replace: Sequence[ElementPattern],
+    sites: Dict[str, Tuple[int, str]],
+) -> Tuple:
+    """Key of one production template of a production function.
+
+    ``("pass", p, tag)`` hands back consumed element ``p``: the template
+    re-emits the pattern that binds its value variable — value bound from
+    pattern ``p``, and pattern ``p``'s label (the same constant, or the same
+    variable bound from ``p``) — so the element it would build equals
+    element ``p`` field for field, value object included.  ``tag`` is
+    ``None`` when the template's tag is the tag variable bound from ``p``;
+    for a valid constant tag it is that constant's position, and element
+    ``p`` is handed back only when its tag *is* that constant (else the
+    element is built, as under ``"fixed"``).  ``("elem", c)`` is an
+    all-constant template's prebuilt element ``C[c]``; ``("fixed", value,
+    label, tag)`` builds an element with valid constant label and tag;
+    ``("checked", value, label, tag)`` validates label and tag per firing,
+    in ``instantiate``'s order (label, tag, then value).
+    """
+    value, label, tag = template.value, template.label, template.tag
+    site = sites.get(value.name) if isinstance(value, Var) else None
+    if site is not None and site[1] == "value":
+        p = site[0]
+        bound = replace[p].label
+        same_label = (isinstance(label, Var) and sites.get(label.name) == (p, "label")) or (
+            isinstance(label, Const)
+            and isinstance(label.value, str)
+            and isinstance(bound, Const)
+            and bound.value == label.value
+        )
+        if same_label and isinstance(tag, Var) and sites.get(tag.name) == (p, "tag"):
+            return ("pass", p, None)
+        if same_label and _constant_site(template):
+            return ("pass", p, canon.const(tag.value), canon.condition(value), canon.condition(label))
+    element = _constant_element(template)
+    if element is not None:
+        return ("elem", canon.const(element))
+    if _constant_site(template):
+        return ("fixed", canon.condition(value), canon.const(label.value), canon.const(tag.value))
+    return ("checked", canon.condition(value), canon.condition(label), canon.condition(tag))
+
+
+class ProductionKey(NamedTuple):
+    """Structural key of a reaction's production function.
+
+    ``slots`` are the function's slot parameters (names, slot order) and
+    ``arity`` its consumed-element parameters; ``branches`` holds ``(condition,
+    templates)`` per branch up to and including the first unconditional one
+    (later branches are unreachable); ``name`` is the constant position of the
+    reaction's name, for the no-branch-enabled error.  Like
+    :class:`ReactionShape` it carries positions, never labels or literals.
+    """
+
+    slots: Tuple[str, ...]
+    arity: int
+    branches: Tuple[Tuple[Optional[Tuple], Tuple[Tuple, ...]], ...]
+    name: Tuple
+
+
+def _production_key(
+    reaction: Reaction, plan: MatchPlan, sites: Dict[str, Tuple[int, str]]
+) -> Tuple[ProductionKey, Tuple[Any, ...], Tuple[Callable, ...]]:
+    """Split ``reaction``'s productions into their key and ``(C, H)`` bindings."""
+    canon = _Canon()
+    branches = []
+    for branch in reaction.branches:
+        condition = None if branch.condition is None else canon.condition(branch.condition)
+        templates = tuple(
+            _template_key(canon, template, reaction.replace, sites)
+            for template in branch.productions
+        )
+        branches.append((condition, templates))
+        if condition is None:
+            break
+    key = ProductionKey(plan.slots, len(reaction.replace), tuple(branches), canon.const(reaction.name))
+    return key, tuple(canon.consts), tuple(canon.helpers)
+
+
+def _production_source(key: ProductionKey) -> str:
+    """Source of a production function's factory, ``def make(C, H): ...``.
+
+    ``produce(added, k, s0.., e0..)`` runs the first enabled branch over the
+    slot values (and, for pass-through templates, the consumed elements in
+    declaration order), counts its elements ``k`` times into ``added`` in
+    template order and returns them as a tuple.
+    """
+    slot_of = {name: i for i, name in enumerate(key.slots)}
+
+    def ref(name: str) -> str:
+        return f"s{slot_of[name]}"
+
+    params = ["added", "k"] + [f"s{i}" for i in range(len(key.slots))]
+    params += [f"e{p}" for p in range(key.arity)]
+    writer = _SourceWriter()
+    writer.w(f"def produce({', '.join(params)}):")
+    writer.indent = 1
+    for condition, templates in key.branches:
+        if condition is not None:
+            writer.w(f"if {_render(condition, ref)}:")
+            writer.indent += 1
+        for i, template in enumerate(templates):
+            kind = template[0]
+            if kind == "pass" and template[2] is None:
+                writer.w(f"p{i} = e{template[1]}")
+            elif kind == "pass":
+                # Hand back the consumed element when it already carries the
+                # constant tag (identity: equal is not enough, ``IntEnum``
+                # tags compare equal to ints), else build the element.
+                element, tag = f"e{template[1]}", _render(template[2], ref)
+                value, label = (_render(part, ref) for part in template[3:])
+                writer.w(
+                    f"p{i} = {element} if {element}.tag is {tag} "
+                    f"else Element(value={value}, label={label}, tag={tag})"
+                )
+            elif kind == "elem":
+                writer.w(f"p{i} = {_render(template[1], ref)}")
+            elif kind == "fixed":
+                value, label, tag = (_render(part, ref) for part in template[1:])
+                writer.w(f"p{i} = Element(value={value}, label={label}, tag={tag})")
+            else:
+                value, label, tag = (_render(part, ref) for part in template[1:])
+                writer.w(f"l{i} = _checked_label({label})")
+                writer.w(f"t{i} = _checked_tag({tag})")
+                writer.w(f"p{i} = Element(value={value}, label=l{i}, tag=t{i})")
+        produced = [f"p{i}" for i in range(len(templates))]
+        for element in produced:
+            writer.w(f"added[{element}] = added.get({element}, 0) + k")
+        writer.w(f"return {_tuple_source(produced)}")
+        if condition is not None:
+            writer.indent -= 1
+    if not key.branches or key.branches[-1][0] is not None:
+        name = _render(key.name, ref)
+        writer.w(f'raise ValueError(f"reaction {{{name}!r}} has no enabled branch")')
+    body = "\n".join("    " + line for line in writer.lines)
+    return f"def make(C, H):\n{body}\n    return produce\n"
+
+
+#: Stage-1 cache of production-function factories, keyed by :class:`ProductionKey`.
+_PRODUCTIONS = CodeCache("compiled-production", _NAMESPACE)
 
 
 # ---------------------------------------------------------------------------
@@ -977,6 +1207,8 @@ class CompiledReaction:
         "_collect_supported",
         "_collect_det",
         "_collect_rng",
+        "_produce",
+        "_sites",
         "_branches",
         "_vectorized",
     )
@@ -1010,6 +1242,10 @@ class CompiledReaction:
         )
         self._collect_det: Optional[Callable] = None
         self._collect_rng: Optional[Callable] = None
+        # The production function over slot values, and where each slot's
+        # value comes from: bound lazily too, by the first superstep claim.
+        self._produce: Optional[Callable] = None
+        self._sites: Optional[Tuple[Tuple[int, str], ...]] = None
         # Fifth matcher variant (columnar mask program), built lazily like the
         # collectors: only columnar runs pay the lowering.  ``False`` is the
         # not-yet-attempted sentinel (``None`` means "tried, not lowerable").
@@ -1117,28 +1353,59 @@ class CompiledReaction:
     ) -> Iterator[Match]:
         """Greedy disjoint ``(tuple, k)`` matches for one superstep.
 
-        Each yielded match carries ``times = k``: the number of firings of
-        its tuple the unclaimed copies still afford (the minimum over held
-        objects of unclaimed copies // slots the object fills), all claimed
-        at once.  ``remaining`` maps elements to copies still unclaimed this
-        superstep; entries are created lazily (an absent element still has
-        its full multiset count) and reduced by every claim, so one map can
-        be shared across all of a superstep's reactions.  ``views`` is the
-        scan's per-superstep bucket-view cache (snapshot list + exhausted-
-        prefix head pointer, keyed by bucket identity); share one dict across
-        a superstep's reactions for amortized prefix skipping.  With ``rng``
-        each snapshot is shuffled once, when its view is built: the seeded
-        order is one permutation per bucket per ``views`` dict, so sharing
-        the dict is also what makes a seeded superstep cost O(bucket) draws.
-        The multiset must not be mutated while the iterator is live — callers
-        collect the whole batch first and fire afterwards.  Raises
-        ``TypeError`` when :attr:`supports_collect` is false.
+        A thin iterator over :meth:`collect_into` with a fresh
+        :class:`~repro.gamma.matching.SuperstepBatch` and no budget: each
+        yielded match carries ``times = k``, the number of firings of its
+        tuple the unclaimed copies still afford, all claimed at once.
+        ``remaining`` and ``views`` are as there.  Raises ``TypeError`` when
+        :attr:`supports_collect` is false.
+        """
+        batch = SuperstepBatch()
+        self.collect_into(index, multiset, remaining, batch, rng, views)
+        yield from batch
+
+    def collect_into(
+        self,
+        index: LabelTagIndex,
+        multiset: Multiset,
+        remaining: Dict[Element, int],
+        batch: SuperstepBatch,
+        rng: Optional[random.Random] = None,
+        views: Optional[Dict[int, list]] = None,
+        room: Optional[int] = None,
+    ) -> int:
+        """Claim one superstep's greedy disjoint ``(tuple, k)`` decisions into
+        ``batch``; returns the firings claimed.
+
+        Each decision fires its tuple ``k`` times: the minimum over held
+        objects of unclaimed copies // slots the object fills, clipped to
+        what is left of ``room`` (the superstep's firing budget, ``None``:
+        unbounded) — collection stops once ``room`` is used up.  The
+        generated collector counts the claim into ``batch`` as it makes it:
+        consumed copies into ``batch.removed``, the reaction's productions,
+        run once over the slot values, into ``batch.added``, and one decision
+        record; no :class:`Match` is built.  ``remaining`` maps elements to
+        copies still unclaimed this superstep; entries are created lazily (an
+        absent element still has its full multiset count) and reduced by
+        every claim, so one map can be shared across all of a superstep's
+        reactions.  ``views`` is the scan's per-superstep bucket-view cache
+        (snapshot list + exhausted-prefix head pointer, keyed by bucket
+        identity); share one dict across a superstep's reactions for
+        amortized prefix skipping.  With ``rng`` each snapshot is shuffled
+        once, when its view is built: the seeded order is one permutation per
+        bucket per ``views`` dict, so sharing the dict is also what makes a
+        seeded superstep cost O(bucket) draws.  The multiset must not be
+        mutated while a batch is being collected.  Raises ``TypeError`` when
+        :attr:`supports_collect` is false.
         """
         if not self._collect_supported:
             raise TypeError(
                 f"reaction {self.reaction.name!r} has no superstep collector "
                 f"(unknown-label match plan); use Matcher.collect"
             )
+        produce = self._produce
+        if produce is None:
+            produce = self._bind_productions()
         # Raw counter access (same package): candidates always come from live
         # buckets, so the coercion/default handling of Multiset.count is dead
         # weight on this, the hottest loop of the parallel backend.
@@ -1148,19 +1415,50 @@ class CompiledReaction:
         if rng is None:
             if self._collect_det is None:
                 self._collect_det = self._bind("collect_det")
-            raw = self._collect_det(*args, mcount, remaining, views)
-        else:
-            if self._collect_rng is None:
-                self._collect_rng = self._bind("collect_rng")
-            raw = self._collect_rng(*args, rng, mcount, remaining, views)
-        for consumed, binding, times in raw:
-            yield CompiledMatch(
-                reaction=self.reaction,
-                consumed=consumed,
-                binding=binding,
-                times=times,
-                compiled=self,
+            return self._collect_det(
+                *args, mcount, remaining, views, batch, produce, self.match_of, room
             )
+        if self._collect_rng is None:
+            self._collect_rng = self._bind("collect_rng")
+        return self._collect_rng(
+            *args, rng, mcount, remaining, views, batch, produce, self.match_of, room
+        )
+
+    def _bind_productions(self) -> Callable:
+        """Bind the production function (codegenned per production key)."""
+        sites = _slot_sites(self.shape, self.plan)
+        key, consts, helpers = _production_key(self.reaction, self.plan, sites)
+        make, _ = _PRODUCTIONS.get(key).factory(
+            "produce", lambda: _production_source(key)
+        )
+        produce = make(consts, helpers)
+        produce.__qualname__ = f"{self.reaction.name}.produce"
+        self._sites = tuple(sites[name] for name in self.plan.slots)
+        self._produce = produce
+        return produce
+
+    def _slot_values(self, consumed: Sequence[Element]) -> List[Any]:
+        """The slot values the compiled matcher binds from ``consumed``
+        (declaration order), in slot order."""
+        if self._sites is None:
+            self._bind_productions()
+        return [getattr(consumed[p], attr) for p, attr in self._sites]
+
+    def match_of(self, consumed: Tuple[Element, ...], times: int) -> Match:
+        """The :class:`CompiledMatch` of one collected decision."""
+        binding = dict(zip(self.plan.slots, self._slot_values(consumed)))
+        return CompiledMatch(
+            reaction=self.reaction, consumed=consumed, binding=binding, times=times, compiled=self
+        )
+
+    def produced_for(self, consumed: Tuple[Element, ...]) -> Tuple[Element, ...]:
+        """One firing's productions for the decision ``consumed``, through the
+        production function the generated collectors call — for collectors
+        written in Python (:func:`repro.gamma.vectorized.columnar_collect`)."""
+        produce = self._produce
+        if produce is None:
+            produce = self._bind_productions()
+        return produce({}, 1, *self._slot_values(consumed), *consumed)
 
     # -- firing ----------------------------------------------------------------
     def apply(self, binding: Binding) -> List[Element]:

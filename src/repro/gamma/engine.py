@@ -393,13 +393,14 @@ class ParallelEngine(GammaEngine):
        per reaction instead of one probe restart per firing, and one match
        per distinct tuple instead of one per copy: ``match.times`` says how
        often it fires);
-    2. evaluates each match's productions once (they are pure functions of
-       the binding);
-    3. applies the whole batch through the validation-free
-       :meth:`Multiset.rewrite_batch_unchecked` (two-phase, counted, batched
-       change notifications), records every match — with its ``times`` —
-       under one trace step, and only then lets the scheduler observe the
-       dirty labels.
+    2. the same pass evaluates each decision's productions once (they are
+       pure functions of the binding) and counts them, with the consumed
+       copies, into the batch's ``{element: copies}`` maps;
+    3. records every decision — with its ``times`` and the productions the
+       batch kept — under one trace step, applies the two maps through the
+       validation-free :meth:`Multiset.rewrite_batch_unchecked` (two-phase,
+       counted, batched change notifications), and only then lets the
+       scheduler observe the dirty labels.
 
     Scheduling is deterministic: unseeded, reactions and candidates are probed
     in declaration/bucket order; with a ``seed``, probe order is drawn from a
@@ -459,12 +460,11 @@ class ParallelEngine(GammaEngine):
                     )
                 return steps, firings, False
             scheduler.refresh()
-            matches = scheduler.collect_superstep_matches(budget=self.max_batch)
-            if not matches:
+            batch = scheduler.collect_superstep_matches(budget=self.max_batch)
+            if not batch:
                 return steps, firings, True
-            produced_lists = [match.produced() for match in matches]
             step = trace.begin_step()
-            for match, produced in zip(matches, produced_lists):
+            for match, (_, _, produced, _) in zip(batch, batch.records):
                 trace.record(
                     step,
                     match.reaction.name,
@@ -473,9 +473,7 @@ class ParallelEngine(GammaEngine):
                     match.binding,
                     times=match.times,
                 )
-            firings += fire_batch(
-                multiset, matches, produced_lists, validate=not self.compiled
-            )
+            firings += fire_batch(multiset, batch, validate=not self.compiled)
             steps += 1
 
     def _select_matches(self, scheduler: ReactionScheduler) -> List[Match]:

@@ -10,6 +10,11 @@ programs additionally require equal tags on every consumed element).
 Multiplicities are respected: a reaction consuming two elements may bind both
 patterns to the *same* element value only if that element occurs at least
 twice in the multiset.
+
+A parallel superstep is a :class:`SuperstepBatch`: the collectors (the
+codegenned ones of :mod:`repro.gamma.compiled`, ``columnar_collect`` and
+:meth:`Matcher.collect` here) count every claim into it as they make it, and
+:func:`fire_batch` applies its two count maps in one rewrite.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..multiset.element import Element
 from ..multiset.index import LabelTagIndex
@@ -25,7 +30,15 @@ from ..multiset.multiset import Multiset
 from .pattern import Binding, ElementPattern
 from .reaction import Reaction
 
-__all__ = ["Match", "Matcher", "fire_batch", "find_match", "iter_matches", "lazy_shuffle"]
+__all__ = [
+    "Match",
+    "Matcher",
+    "SuperstepBatch",
+    "fire_batch",
+    "find_match",
+    "iter_matches",
+    "lazy_shuffle",
+]
 
 
 def lazy_shuffle(pool: List[Element], rng: random.Random) -> Iterator[Element]:
@@ -76,36 +89,98 @@ class Match:
         return f"Match({self.reaction.name}, consumed={list(self.consumed)!r}{times})"
 
 
-def fire_batch(
-    multiset: Multiset,
-    matches: Sequence[Match],
-    produced_lists: Optional[Sequence[Sequence[Element]]] = None,
-    validate: bool = False,
-) -> int:
-    """Fire one superstep batch; returns its firing count, ``sum(times)``.
+class SuperstepBatch(Sequence[Match]):
+    """One superstep's ``(tuple, k)`` decisions, counted as they are claimed.
 
-    Each match fires ``match.times`` times, but is *handled* once: its
-    productions are evaluated once (``produced_lists[i]`` when the caller
-    already did, e.g. to record them in a trace) and multiplied into ``{element:
-    copies}`` maps — keys in first-occurrence order — that go through one
-    counted two-phase :meth:`Multiset.rewrite_batch_unchecked`.
-    ``validate=True`` (the interpreted baseline) first checks every removal
-    against the multiset, like :meth:`Multiset.replace`, so a bad batch
-    raises ``KeyError`` with nothing mutated.  Both paths cost O(distinct
-    elements), not O(copies), and leave the same bucket order.
+    What :meth:`ReactionScheduler.collect_superstep_matches
+    <repro.gamma.scheduler.ReactionScheduler.collect_superstep_matches>`
+    returns.  The collectors fill it in one pass: every claim appends one flat
+    decision record ``(match_of, consumed, produced, times)`` — ``match_of``
+    rebuilds the claim's :class:`Match`, ``consumed`` is the tuple in
+    declaration order, ``produced`` the elements *one* firing inserts — and
+    adds its copies to two ``{element: copies}`` maps, :attr:`removed` (per
+    consumed slot, in declaration order) and :attr:`added` (per production,
+    in template order), whose keys keep first-occurrence order across the
+    batch.  :attr:`firings` is the sum of the ``times``.
+
+    As a read-only sequence it holds the decisions' :class:`Match` objects:
+    ``len()`` counts decisions, and iteration, indexing and comparison with
+    a list build the matches on first access (same reaction, consumed tuple,
+    binding dict and ``times`` as a match-per-decision collector would have
+    handed out).  :func:`fire_batch` reads only the two maps, so firing a
+    batch nobody iterated builds no match at all.
     """
-    if produced_lists is None:
-        produced_lists = [match.produced() for match in matches]
-    removed: Dict[Element, int] = {}
-    added: Dict[Element, int] = {}
-    firings = 0
-    for match, produced in zip(matches, produced_lists):
-        times = match.times
-        firings += times
-        for element in match.consumed:
+
+    __slots__ = ("removed", "added", "records", "firings", "_matches")
+
+    def __init__(self) -> None:
+        self.removed: Dict[Element, int] = {}
+        self.added: Dict[Element, int] = {}
+        self.records: List[Tuple[Callable, Tuple[Element, ...], Sequence[Element], int]] = []
+        self.firings = 0
+        self._matches: Optional[List[Match]] = None
+
+    def claim(
+        self,
+        match_of: Callable[[Tuple[Element, ...], int], Match],
+        consumed: Tuple[Element, ...],
+        produced: Sequence[Element],
+        times: int,
+    ) -> None:
+        """Count one decision: ``consumed`` fires ``times`` times, each firing
+        inserting ``produced``.  (The codegenned collectors inline this.)"""
+        removed = self.removed
+        for element in consumed:
             removed[element] = removed.get(element, 0) + times
+        added = self.added
         for element in produced:
             added[element] = added.get(element, 0) + times
+        self.records.append((match_of, consumed, produced, times))
+        self.firings += times
+
+    def matches(self) -> List[Match]:
+        """The decisions as :class:`Match` objects (built once, on first call)."""
+        if self._matches is None:
+            self._matches = [
+                match_of(consumed, times) for match_of, consumed, _, times in self.records
+            ]
+        return self._matches
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        return self.matches()[index]
+
+    def __iter__(self) -> Iterator[Match]:
+        return iter(self.matches())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SuperstepBatch):
+            return self.matches() == other.matches()
+        if isinstance(other, (list, tuple)):
+            return self.matches() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"SuperstepBatch({len(self)} decisions, {self.firings} firings)"
+
+
+def fire_batch(multiset: Multiset, batch: SuperstepBatch, validate: bool = False) -> int:
+    """Fire one superstep batch; returns its firing count, ``batch.firings``.
+
+    The collectors already multiplied every decision into the batch's
+    ``{element: copies}`` maps while claiming it, so firing is one counted
+    two-phase :meth:`Multiset.rewrite_batch_unchecked` of
+    ``(batch.removed, batch.added)`` — O(distinct elements), not O(copies),
+    and no match is built.  ``validate=True`` (the interpreted baseline)
+    first checks every removal against the multiset, like
+    :meth:`Multiset.replace`, so a bad batch raises ``KeyError`` with
+    nothing mutated.
+    """
+    removed = batch.removed
     if validate:
         for element, copies in removed.items():
             have = multiset.count(element)
@@ -113,8 +188,25 @@ def fire_batch(
                 raise KeyError(
                     f"batch would consume {copies} x {element!r} but only {have} present"
                 )
-    multiset.rewrite_batch_unchecked(removed, added)
-    return firings
+    multiset.rewrite_batch_unchecked(removed, batch.added)
+    return batch.firings
+
+
+def _interpreted_match_of(reaction: Reaction) -> Callable[[Tuple[Element, ...], int], Match]:
+    """Match builder for decisions of the interpreted collector.
+
+    The binding is re-derived the way the search built it — each pattern
+    matched against its consumed element in declaration order — so it
+    equals the search's binding key for key.
+    """
+
+    def match_of(consumed: Tuple[Element, ...], times: int) -> Match:
+        binding: Binding = {}
+        for pat, element in zip(reaction.replace, consumed):
+            binding = pat.match(element, binding)
+        return Match(reaction=reaction, consumed=consumed, binding=binding, times=times)
+
+    return match_of
 
 
 class Matcher:
@@ -224,21 +316,27 @@ class Matcher:
         reaction: Reaction,
         remaining: Dict[Element, int],
         views: Dict[object, list],
-    ) -> Iterator[Match]:
-        """Interpreted twin of :meth:`CompiledReaction.collect
-        <repro.gamma.compiled.CompiledReaction.collect>`.
+        batch: SuperstepBatch,
+        room: Optional[int] = None,
+    ) -> int:
+        """Interpreted twin of :meth:`CompiledReaction.collect_into
+        <repro.gamma.compiled.CompiledReaction.collect_into>`.
 
-        Greedy disjoint ``(tuple, k)`` matches for one superstep, searched in
-        declaration order over the same per-superstep bucket views (``views``
-        is shared with the compiled collectors; with an RNG each snapshot is
-        shuffled once, when its view is built).  A candidate whose unclaimed
-        copies (``remaining``, else its multiset count) do not cover the
-        slots it would fill is skipped, and a held element left without
-        enough copies ends its level's scan — the compiled collector's break
-        cascade.  So for identity-plan reactions the two collectors visit,
-        claim, yield and draw identically.  This is the collector for
-        reactions without a codegenned one (interpreted runs, unknown-label
-        plans).
+        Claims greedy disjoint ``(tuple, k)`` decisions for one superstep
+        into ``batch`` and returns the firings claimed, at most ``room``
+        (``None``: unbounded) — the decision that would cross it has its
+        ``k`` clipped before it is claimed, and collection stops.  Tuples
+        are searched in declaration order over the same per-superstep bucket
+        views (``views`` is shared with the compiled collectors; with an RNG
+        each snapshot is shuffled once, when its view is built).  A
+        candidate whose unclaimed copies (``remaining``, else its multiset
+        count) do not cover the slots it would fill is skipped, and a held
+        element left without enough copies ends its level's scan — the
+        compiled collector's break cascade.  So for identity-plan reactions
+        the two collectors visit, claim, record and draw identically.
+        Productions come from :meth:`Reaction.apply`, once per decision.
+        This is the collector for reactions without a codegenned one
+        (interpreted runs, unknown-label plans).
         """
         count = self.multiset.count
 
@@ -277,12 +375,20 @@ class Matcher:
                     if available(element) < held:
                         break
 
+        match_of = _interpreted_match_of(reaction)
+        fired = 0
         for consumed, binding in search(tuple(reaction.replace), {}, ()):
             slots = Counter(consumed)
             times = min(available(element) // n for element, n in slots.items())
+            if room is not None and times > room - fired:
+                times = room - fired
             for element, n in slots.items():
                 remaining[element] = available(element) - times * n
-            yield Match(reaction=reaction, consumed=consumed, binding=dict(binding), times=times)
+            batch.claim(match_of, consumed, reaction.apply(binding), times)
+            fired += times
+            if fired == room:
+                break
+        return fired
 
     def _view(self, pat: ElementPattern, binding: Binding, views: Dict[object, list]) -> list:
         """``pat``'s candidates as this superstep's ``[snapshot, head]`` view.

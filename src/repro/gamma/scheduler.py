@@ -37,14 +37,13 @@ With ``compiled=True`` (default) each reaction is specialized once through
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..multiset.columnar import ColumnarStore
 from ..multiset.element import Element
 from ..multiset.index import LabelTagIndex
 from ..multiset.multiset import Multiset
-from .matching import Match, Matcher
+from .matching import Match, Matcher, SuperstepBatch
 from .reaction import Reaction
 from .vectorized import columnar_collect
 
@@ -226,41 +225,53 @@ class ReactionScheduler:
                 return match
         return None
 
-    def collect_superstep_matches(self, budget: Optional[int] = None) -> List[Match]:
-        """Greedy disjoint ``(tuple, k)`` match set for one parallel *superstep*.
+    def collect_superstep_matches(self, budget: Optional[int] = None) -> SuperstepBatch:
+        """Greedy disjoint ``(tuple, k)`` decisions for one parallel *superstep*.
 
         The repo's one definition of a parallel step: a greedy maximal set of
         firings no two of which consume the same element occurrence.  The
         parallel engine, the PE-bounded simulator, Fig. 4 instancing and the
-        shard workers all call it.  Each returned match stands for ``match.times`` firings of its tuple:
-        once a tuple is enabled it is fired as often as the copies still
-        unclaimed this superstep afford (the minimum, over the objects it
-        holds, of unclaimed copies // slots the object fills), so a solution
-        with many copies of few values costs one decision per distinct
-        combination, not one per copy.  Extraction runs through the compiled
-        superstep collectors
-        (:meth:`~repro.gamma.compiled.CompiledReaction.collect`): one bucket
-        pass per reaction with a shared consumed-occurrence map, skipping
-        candidates claimed earlier in the batch, instead of enumerating every
-        match and filtering.  Reactions the codegen cannot handle (no
-        compiled form, or an unknown-label match plan) go through its
-        interpreted twin, :meth:`Matcher.collect
+        shard workers all call it.  Each decision stands for ``k`` firings of
+        its tuple: once a tuple is enabled it is fired as often as the copies
+        still unclaimed this superstep afford (the minimum, over the objects
+        it holds, of unclaimed copies // slots the object fills), so a
+        solution with many copies of few values costs one decision per
+        distinct combination, not one per copy.
+
+        The result is a :class:`~repro.gamma.matching.SuperstepBatch`,
+        filled in one pass: the compiled superstep collectors
+        (:meth:`~repro.gamma.compiled.CompiledReaction.collect_into`) scan
+        each reaction's buckets once with a shared consumed-occurrence map,
+        skip candidates claimed earlier in the batch, and count every claim
+        straight into the batch's ``removed`` / ``added`` maps — productions
+        run once per decision, over the slot values — so
+        :func:`~repro.gamma.matching.fire_batch` only applies the two maps,
+        and :class:`~repro.gamma.matching.Match` objects are built only if
+        someone iterates the batch.  ``len()`` counts decisions; iterating
+        yields one match per decision with ``times = k``.  Reactions the
+        codegen cannot handle (no compiled form, or an unknown-label match
+        plan) go through its interpreted twin, :meth:`Matcher.collect
         <repro.gamma.matching.Matcher.collect>`, which scans the same bucket
         views — so a seeded superstep draws one permutation per bucket on
         either path, and ``compiled=True/False`` runs of identity-plan
         programs take the same seeded schedule.
 
         ``budget`` caps the superstep's *firings* — the sum of ``times``, not
-        the length of the list: the match that would cross it has its
-        ``times`` clipped to the remainder and collection stops.
+        the number of decisions: the decision that would cross it has its
+        ``k`` clipped to the remainder before it is claimed, and collection
+        stops.  It must be positive or ``None`` (unbounded); anything else
+        raises ``ValueError``.
 
         An empty result proves the multiset stable: with nothing consumed the
         collectors degenerate to plain first-match probes, so any enabled
-        reaction would have contributed.  Reactions that yield no match *and*
+        reaction would have contributed.  Reactions that claim nothing *and*
         competed against an empty batch are parked; reactions merely starved
         by earlier claims are left armed (the batch's own firings dirty every
         label they would need, so parking them would only churn the worklist).
         """
+        if budget is not None and budget <= 0:
+            raise ValueError(f"superstep budget must be positive or None, got {budget!r}")
+        batch = SuperstepBatch()
         remaining: Dict[Element, int] = {}
         views: Dict[object, list] = {}
         # Per-superstep cache of the columnar collectors (bucket snapshots,
@@ -268,7 +279,6 @@ class ReactionScheduler:
         # analogue of ``views``, shared across this superstep's reactions.
         cviews: Dict = {}
         store = self.columnar_store if self.rng is None else None
-        chosen: List[Match] = []
         room = budget  # firings still allowed this superstep (None: unbounded)
         compiled = self._compiled
         for i in self._probe_order(shuffled=self.rng is not None):
@@ -276,33 +286,26 @@ class ReactionScheduler:
                 continue
             if room == 0:
                 break
+            park_if_idle = not remaining
             compiled_reaction = compiled[i]
             if compiled_reaction is not None and compiled_reaction.supports_collect:
-                matches = None
+                fired = None
                 if store is not None:
-                    matches = columnar_collect(
-                        compiled_reaction, store, self.multiset, remaining, cviews
+                    fired = columnar_collect(
+                        compiled_reaction, store, self.multiset, remaining, cviews, batch, room
                     )
-                if matches is None:
-                    matches = compiled_reaction.collect(
-                        self.index, self.multiset, remaining, self.rng, views
+                if fired is None:
+                    fired = compiled_reaction.collect_into(
+                        self.index, self.multiset, remaining, batch, self.rng, views, room
                     )
-                park_if_idle = not remaining
             else:
-                matches = self.matcher.collect(self.reactions[i], remaining, views)
-                park_if_idle = not remaining
-            for match in matches:
-                park_if_idle = False
+                fired = self.matcher.collect(self.reactions[i], remaining, views, batch, room)
+            if fired:
                 if room is not None:
-                    if match.times > room:
-                        match = replace(match, times=room)
-                    room -= match.times
-                chosen.append(match)
-                if room == 0:
-                    break
-            if park_if_idle:
+                    room -= fired
+            elif park_if_idle:
                 self._parked.add(i)
-        return chosen
+        return batch
 
 
 def greedy_disjoint_matches(
@@ -310,14 +313,14 @@ def greedy_disjoint_matches(
     multiset: Multiset,
     rng: Optional[random.Random] = None,
     budget: Optional[int] = None,
-) -> List[Match]:
+) -> SuperstepBatch:
     """One-shot superstep: :meth:`ReactionScheduler.collect_superstep_matches`
     against a snapshot, without a persistent scheduler.
 
     Convenience for callers that only need a single parallel step
     (conversion instancing, ad-hoc analyses); long-running loops should hold
-    a :class:`ReactionScheduler` instead.  Matches carry multiplicity
-    (``match.times``), and ``budget`` caps firings, not matches.
+    a :class:`ReactionScheduler` instead.  Decisions carry multiplicity
+    (``match.times``), and ``budget`` caps firings, not decisions.
     """
     scheduler = ReactionScheduler(program_reactions, multiset, rng=rng)
     try:

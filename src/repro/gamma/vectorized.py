@@ -62,6 +62,7 @@ from ..multiset.element import Element
 from ..multiset.multiset import Multiset
 from .codecache import CodeCache
 from .expr import BinOp, BoolOp, Compare, Const, Expr, Not, Var
+from .matching import SuperstepBatch
 from .reaction import Reaction
 
 __all__ = [
@@ -1029,17 +1030,21 @@ def columnar_collect(
     multiset: Multiset,
     remaining: Dict[Element, int],
     cache: Dict,
-):
-    """Columnar variant of :meth:`CompiledReaction.collect`, or ``None``.
+    batch: SuperstepBatch,
+    room: Optional[int] = None,
+) -> Optional[int]:
+    """Columnar variant of :meth:`CompiledReaction.collect_into`, or ``None``.
 
-    Yields the *same* ``(tuple, k)`` *matches in the same order* as the
-    deterministic codegenned collector — same multiplicity rule (``times`` =
-    the minimum over held objects of unclaimed copies // slots the object
-    fills, claimed at once), same claim accounting against the shared
-    ``remaining`` map, same exhausted-prefix head advance (kept in ``cache``
-    so it persists across one superstep's reactions), same stable tie-break
-    order — but enumerates guard-true partners from one cached mask sweep
-    per outer key instead of re-evaluating the guard per pair.  Returns
+    Claims the *same* ``(tuple, k)`` *decisions in the same order* into
+    ``batch`` as the deterministic codegenned collector — same multiplicity
+    rule (``k`` = the minimum over held objects of unclaimed copies // slots
+    the object fills, clipped to what is left of ``room``), same claim
+    accounting against the shared ``remaining`` map, same batch counts (the
+    reaction's compiled production function), same exhausted-prefix head
+    advance (kept in ``cache`` so it persists across one superstep's
+    reactions), same stable tie-break order — but enumerates guard-true
+    partners from one cached mask sweep per outer key instead of
+    re-evaluating the guard per pair.  Returns the firings claimed, or
     ``None`` when the reaction (or a divisor hazard reachable this
     superstep) requires the object path; the caller then falls back for this
     reaction only.
@@ -1057,21 +1062,25 @@ def columnar_collect(
     ]
     if vec.hazard_terms and not _hazard_clear(vec, snaps):
         return None
-    return _collect_iter(compiled, vec, snaps, multiset, remaining, cache)
+    return _collect_into(compiled, vec, snaps, multiset, remaining, cache, batch, room)
 
 
-def _collect_iter(
+def _collect_into(
     compiled: "Any",
     vec: VectorizedReaction,
     snaps: List[_Snapshot],
     multiset: Multiset,
     remaining: Dict[Element, int],
     cache: Dict,
-):
-    """Generator behind :func:`columnar_collect` (hazards already cleared)."""
-    from .compiled import CompiledMatch
-
+    batch: SuperstepBatch,
+    room: Optional[int],
+) -> int:
+    """The scan behind :func:`columnar_collect` (hazards already cleared)."""
     mcount = multiset._counts.get
+    match_of = compiled.match_of
+    produced_for = compiled.produced_for
+    claim = batch.claim
+    fired = 0
     snap0 = snaps[0]
     outer_sca = vec.outer_sca
     unary = vec.arity == 1
@@ -1096,14 +1105,14 @@ def _collect_iter(
             continue
         if unary:
             # One slot: every unclaimed copy of e0 fires.
-            yield CompiledMatch(
-                reaction=vec.reaction,
-                consumed=(e0,),
-                binding=vec.binding_for((e0,)),
-                times=mcount(e0) if r0 is None else r0,
-                compiled=compiled,
-            )
-            remaining[e0] = 0
+            x0 = mcount(e0) if r0 is None else r0
+            times = x0 if room is None or x0 <= room - fired else room - fired
+            remaining[e0] = x0 - times
+            consumed = (e0,)
+            claim(match_of, consumed, produced_for(consumed), times)
+            fired += times
+            if fired == room:
+                return fired
             j0 += 1
             continue
         # Advance the inner exhausted-prefix head, then walk the cached
@@ -1135,19 +1144,22 @@ def _collect_iter(
                 x0 = mcount(e0)
             if n1:
                 times = x0 // 2
-                left0 = remaining[e0] = x0 - 2 * times
             else:
                 x1 = mcount(e1) if r1 is None else r1
                 times = x0 if x0 < x1 else x1
+            if room is not None and times > room - fired:
+                times = room - fired
+            if n1:
+                left0 = remaining[e0] = x0 - 2 * times
+            else:
                 left0 = remaining[e0] = x0 - times
                 remaining[e1] = x1 - times
-            yield CompiledMatch(
-                reaction=vec.reaction,
-                consumed=(e0, e1),
-                binding=vec.binding_for((e0, e1)),
-                times=times,
-                compiled=compiled,
-            )
+            consumed = (e0, e1)
+            claim(match_of, consumed, produced_for(consumed), times)
+            fired += times
+            if fired == room:
+                return fired
             if left0 <= 0:
                 break
         j0 += 1
+    return fired

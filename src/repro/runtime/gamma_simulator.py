@@ -92,15 +92,13 @@ class GammaSimulator:
                         f"gamma simulation exceeded {self.max_steps} steps on {self.program.name!r}"
                     )
                 scheduler.refresh()
-                matches = scheduler.collect_superstep_matches(budget=pool.capacity())
-                if not matches:
+                batch = scheduler.collect_superstep_matches(budget=pool.capacity())
+                if not batch:
                     break
                 # A (tuple, k) decision is k unit-latency firings on k PEs;
                 # the budget already fits them to the pool's capacity.
-                pool.dispatch([match for match in matches for _ in range(match.times)])
-                total_firings += fire_batch(
-                    multiset, matches, validate=not self.compiled
-                )
+                pool.dispatch([record for record in batch.records for _ in range(record[3])])
+                total_firings += fire_batch(multiset, batch, validate=not self.compiled)
                 steps += 1
         finally:
             scheduler.detach()

@@ -135,11 +135,11 @@ class ShardWorker:
         scheduler = self.scheduler
         while max_supersteps is None or steps < max_supersteps:
             scheduler.refresh()
-            matches = scheduler.collect_superstep_matches(budget=budget)
-            if not matches:
+            batch = scheduler.collect_superstep_matches(budget=budget)
+            if not batch:
                 stable = True
                 break
-            fired += fire_batch(multiset, matches, validate=not self.compiled)
+            fired += fire_batch(multiset, batch, validate=not self.compiled)
             steps += 1
         self.firings += fired
         self.supersteps += steps

@@ -1,5 +1,9 @@
 """Tests for the batched superstep backend (ParallelEngine + collectors)."""
 
+import random
+from collections import Counter
+from unittest import mock
+
 import pytest
 
 from repro.gamma import (
@@ -11,10 +15,13 @@ from repro.gamma import (
     compile_reaction,
     run,
 )
-from repro.gamma.pattern import pattern, template
+from repro.gamma.compiled import CompiledMatch, CompiledReaction
+from repro.gamma.expr import BinOp, Compare, Const, EvaluationError, Var
+from repro.gamma.pattern import ElementTemplate, pattern, template
 from repro.gamma.reaction import Branch, Reaction
 from repro.gamma.stdlib import min_element, sum_reduction, values_multiset
-from repro.multiset import Multiset
+from repro.multiset import Element, Multiset
+from repro.runtime.sharding import ShardWorker
 from repro.workloads import CLASSIC_WORKLOADS, make_workload
 from repro.api import RuntimeConfig
 
@@ -321,3 +328,149 @@ class TestSuperstepCollection:
         assert sorted(e.label for e in result.final) == ["out", "p"] or sorted(
             e.label for e in result.final
         ) == ["out", "q"]
+
+
+def _keep_left():
+    """``replace x, y by x``: the template re-emits the pattern binding it."""
+    return Reaction(
+        "Rkeep",
+        [pattern("a", "x", "t1"), pattern("b", "x", "t2")],
+        [Branch(productions=[template("a", "x", "t1")])],
+        guard=Compare("<", Var("a"), Var("b")),
+    )
+
+
+def _collect_once(reactions, multiset, **options):
+    scheduler = ReactionScheduler(reactions, multiset, **options)
+    try:
+        return scheduler.collect_superstep_matches()
+    finally:
+        scheduler.detach()
+
+
+class TestSuperstepBatch:
+    def test_non_positive_budgets_are_refused(self):
+        scheduler = ReactionScheduler(min_element().reactions, values_multiset([3, 1, 2]))
+        try:
+            for budget in (0, -1):
+                with pytest.raises(ValueError, match="budget"):
+                    scheduler.collect_superstep_matches(budget=budget)
+            assert len(scheduler.collect_superstep_matches(budget=1)) == 1
+        finally:
+            scheduler.detach()
+
+    def test_batch_is_a_sequence_of_matches(self):
+        batch = _collect_once(min_element().reactions, values_multiset([1] * 3 + [2] * 5))
+        assert len(batch) == 1 and batch.firings == 3
+        (match,) = batch
+        assert batch[0] is match and batch[-1] is match and list(batch) == [match]
+        assert batch == [match] and batch != []
+        assert (match.consumed, match.binding, match.times) == (
+            (Element(1, "x", 0), Element(2, "x", 0)),
+            {"a": 1, "t1": 0, "b": 2, "t2": 0},
+            3,
+        )
+        assert batch.removed == {Element(1, "x", 0): 3, Element(2, "x", 0): 3}
+        assert batch.added == {Element(1, "x", 0): 3}
+        empty = _collect_once(min_element().reactions, values_multiset([4]))
+        assert empty == [] and not empty and empty.firings == 0
+
+    @pytest.mark.parametrize("options", [{}, {"columnar": True}, {"rng": random.Random(3)}])
+    def test_pass_through_hands_back_the_consumed_objects(self, options):
+        multiset = values_multiset([1, 2, 2, 3, 5])
+        batch = _collect_once([_keep_left()], multiset, **options)
+        assert batch.added
+        consumed = [element for match in batch for element in match.consumed]
+        for element in batch.added:
+            assert any(element is held for held in consumed)
+        # Materialised matches still produce fresh, equal elements.
+        assert [e for m in batch for e in m.produced()] == [
+            rec[2][0] for rec in batch.records
+        ]
+
+    def test_constant_tag_passes_through_only_when_the_tag_is_that_object(self):
+        # min_element re-emits its left element with tag 0: a tag-0 element
+        # comes back as itself, a tag-1 element as a fresh tag-0 element.
+        multiset = Multiset([Element(1, "x", 0), Element(2, "x", 0), Element(3, "x", 1), Element(4, "x", 1)])
+        batch = _collect_once(min_element().reactions, multiset)
+        by_value = {record[1][0].value: (record[1][0], record[2][0]) for record in batch.records}
+        held, produced = by_value[1]
+        assert produced is held
+        held, produced = by_value[3]
+        assert produced == Element(3, "x", 0) and produced is not held
+
+    def test_join_keeps_the_binding_patterns_value(self):
+        # ``a`` is bound by the first pattern (the int 1); re-emitting the
+        # second pattern's label and tag must not hand back its 1.0, and
+        # re-emitting the first pattern's label with the second pattern's
+        # tag must not hand back the first element.
+        join = Reaction(
+            "Rjoin",
+            [pattern("a", "x", "t1"), pattern("a", "y", "t2")],
+            [Branch(productions=[template("a", "y", "t2"), template("a", "x", "t2")])],
+        )
+        multiset = Multiset([Element(1, "x", 0), Element(1.0, "y", 1)])
+        for compiled in (True, False):
+            batch = _collect_once([join], multiset.copy(), compiled=compiled)
+            assert list(batch.added) == [Element(1, "y", 1), Element(1, "x", 1)]
+            assert [type(e.value) for e in batch.added] == [int, int]
+            assert batch[0].produced() == list(batch.added)
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize(
+        "production, error",
+        [
+            # An int label fails the template's label check.
+            (ElementTemplate(Const(1), Var("a"), Const(0)), TypeError),
+            # A negative tag fails Element's own check.
+            (ElementTemplate(Const(1), Const("out"), Var("a")), ValueError),
+            # 1 / 0 fails the expression evaluator.
+            (ElementTemplate(BinOp("/", Const(1), Var("a")), Const("out"), Const(0)), EvaluationError),
+        ],
+    )
+    def test_raising_production_leaves_the_multiset_untouched(self, compiled, production, error):
+        reaction = Reaction("Rraise", [pattern("a", "x", "t")], [Branch(productions=[production])])
+        worker = ShardWorker(0, [reaction], compiled=compiled)
+        worker.ingest([(Element(0, "x", 0), 2), (Element(-2, "x", 0), 2)])
+        before = worker.multiset.copy()
+        try:
+            with pytest.raises(error):
+                worker.run_local()
+            assert worker.multiset == before
+            assert list(worker.multiset.counts()) == list(before.counts())
+        finally:
+            worker.close()
+
+    def test_seeded_shard_run_builds_no_match(self):
+        # The count gate: the superstep path claims, produces and counts in
+        # the generated collector — no CompiledReaction.apply call, no
+        # CompiledMatch — and matches only materialise when iterated.
+        rng = random.Random(1)
+        values = [rng.randint(1, 1000) for _ in range(10_000)]
+        worker = ShardWorker(0, min_element().reactions, seed=3)
+        worker.ingest([(Element(value, "x", 0), 1) for value in values])
+        calls = Counter()
+        real_apply, real_init = CompiledReaction.apply, CompiledMatch.__init__
+
+        def apply(self, binding):
+            calls["apply"] += 1
+            return real_apply(self, binding)
+
+        def init(self, *args, **kwargs):
+            calls["match"] += 1
+            real_init(self, *args, **kwargs)
+
+        try:
+            with mock.patch.object(CompiledReaction, "apply", apply), mock.patch.object(
+                CompiledMatch, "__init__", init
+            ):
+                report = worker.run_local()
+                assert report.stable and report.fired == len(values) - values.count(min(values))
+                assert calls == Counter()
+                worker.ingest([(Element(value, "x", 0), 1) for value in (1500, 2000)])
+                worker.scheduler.refresh()
+                batch = worker.scheduler.collect_superstep_matches()
+                assert calls == Counter()
+                assert len(list(batch)) == len(batch) == calls["match"] > 0
+        finally:
+            worker.close()

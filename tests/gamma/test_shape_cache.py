@@ -225,6 +225,38 @@ class TestSourcesContract:
             for literal in ("needle-label", "41", "123456", "654321"):
                 assert literal not in source
 
+    def test_production_functions_share_code_across_labels_and_literals(self):
+        # The collectors' production functions are keyed like shapes: labels
+        # and literals are bindings, so two reactions differing only there
+        # run one generated function, whose source names neither.
+        def shifted(label, offset):
+            return Reaction(
+                name=f"Rshift{offset}",
+                replace=[pattern("a", label, "t1"), pattern("b", label, "t2")],
+                branches=[
+                    Branch(
+                        productions=[
+                            ElementTemplate(BinOp("+", var("a"), Const(offset)), Const(label), Const(0))
+                        ]
+                    )
+                ],
+                guard=Compare("<", var("a"), var("b")),
+            )
+
+        produced = []
+        for label, offset in (("needle-x", 123456), ("needle-y", 654321)):
+            compiled = compile_reaction(shifted(label, offset))
+            multiset = Multiset([Element(1, label, 0), Element(2, label, 0)])
+            (match,) = compiled.collect(LabelTagIndex(multiset), multiset, {})
+            assert match.produced() == [Element(1 + offset, label, 0)]
+            produced.append(compiled._produce)
+        low, high = produced
+        assert low.__code__ is high.__code__
+        source = "".join(linecache.getlines(low.__code__.co_filename))
+        assert "def produce" in source
+        for literal in ("needle", "123456", "654321"):
+            assert literal not in source
+
     def test_mask_programs_share_code_across_literals(self):
         def bounded(limit):
             return Reaction(

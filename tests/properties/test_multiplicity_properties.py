@@ -35,7 +35,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from generators import chemistry_soups
+from generators import chemistry_soups, random_programs
 from repro.api import RuntimeConfig
 from repro.gamma import ParallelEngine, run
 from repro.gamma.expr import BinOp, Compare, Const, Var
@@ -217,6 +217,121 @@ def test_object_and_columnar_collectors_agree(name, values, budget, numpy_absent
     assert [(m.consumed, m.times) for m in columnar] == [
         (m.consumed, m.times) for m in objects
     ]
+
+
+def _pass_through() -> GammaProgram:
+    """``replace x, y by x``: the production re-emits the element binding it."""
+    reaction = Reaction(
+        name="Rkeep",
+        replace=[pattern("a", "x", "t1"), pattern("b", "x", "t2")],
+        branches=[Branch(productions=[template("a", "x", "t1")])],
+        guard=Compare("<=", Var("a"), Var("b")),
+    )
+    return GammaProgram([reaction], name="pass_through")
+
+
+def _branching() -> GammaProgram:
+    """Conditional branches, two productions, a checked (variable) tag."""
+    reaction = Reaction(
+        name="Rbranch",
+        replace=[pattern("a", "x", "t1"), pattern("b", "x", "t2")],
+        branches=[
+            Branch(
+                productions=[template("b", "x", "t1"), template(Const(1), "y", Var("t2"))],
+                condition=Compare(">", Var("a"), Const(2)),
+            ),
+            Branch(productions=[template(BinOp("+", Var("a"), Var("b")), "x", Const(0))]),
+        ],
+    )
+    return GammaProgram([reaction], name="branching")
+
+
+def _reordered() -> GammaProgram:
+    """A non-identity match plan: the constant-tag pattern is probed first."""
+    reaction = Reaction(
+        name="Rreorder",
+        replace=[pattern("a", "x", "t"), pattern("b", "x", Const(1))],
+        branches=[Branch(productions=[template("a", "x", "t")])],
+        guard=Compare("!=", Var("a"), Var("b")),
+    )
+    return GammaProgram([reaction], name="reordered")
+
+
+BATCH_PROGRAMS = dict(
+    SEEDED_PROGRAMS, pass_through=_pass_through, branching=_branching, reordered=_reordered
+)
+
+
+def _store_order(multiset):
+    """Every key order a seeded schedule can observe: counts, label and tag buckets."""
+    return (
+        list(multiset.counts().items()),
+        [(label, list(bucket.items())) for label, bucket in multiset._by_label.items()],
+        [
+            (label, [(tag, list(bucket.items())) for tag, bucket in tags.items()])
+            for label, tags in multiset._tags.items()
+        ],
+    )
+
+
+@st.composite
+def batch_cases(draw):
+    """A stdlib-style or generated program over a multiplicity-heavy input."""
+    if draw(st.booleans()):
+        program = BATCH_PROGRAMS[draw(st.sampled_from(sorted(BATCH_PROGRAMS)))]()
+        labels = ["x"]
+    else:
+        program = draw(random_programs())
+        labels = sorted({label for r in program.reactions for label in r.consumed_labels()})
+    items = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(labels),
+                st.integers(min_value=1, max_value=4),
+                st.integers(min_value=0, max_value=1),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    return program, Multiset(Element(value, label, tag) for label, value, tag in items)
+
+
+@IN_PROCESS
+@given(
+    case=batch_cases(),
+    seed=seeds,
+    budget=budgets,
+    compiled=st.booleans(),
+    columnar=st.booleans(),
+)
+def test_batch_counts_equal_its_matches(case, seed, budget, compiled, columnar):
+    """The counts a collector wrote while claiming are its matches', exactly.
+
+    ``removed`` / ``added`` equal the aggregation of the materialised
+    matches' consumed and produced elements x ``times`` — key order included
+    — and firing the batch leaves the multiset and every bucket order that
+    aggregation would have left.
+    """
+    program, initial = case
+    batch = _collect(program, initial, seed=seed, budget=budget, compiled=compiled, columnar=columnar)
+    removed, added = {}, {}
+    for match in batch:
+        for element in match.consumed:
+            removed[element] = removed.get(element, 0) + match.times
+        for element in match.produced():
+            added[element] = added.get(element, 0) + match.times
+    assert list(batch.removed.items()) == list(removed.items())
+    assert list(batch.added.items()) == list(added.items())
+    assert batch.firings == sum(match.times for match in batch)
+    assert len(batch) == len(batch.records)
+
+    fired = initial.copy()
+    assert fire_batch(fired, batch, validate=not compiled) == batch.firings
+    aggregated = initial.copy()
+    aggregated.rewrite_batch_unchecked(removed, added)
+    assert fired == aggregated
+    assert _store_order(fired) == _store_order(aggregated)
 
 
 @IN_PROCESS

@@ -262,6 +262,18 @@ class TestShardWorker:
         assert worker.multiset == Multiset([(1, "x")] * 12)
         worker.close()
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget_is_refused(self, budget):
+        # Regression: budget=0 used to report an unstable partition stable
+        # (fired=0), and a negative budget ran unbounded.
+        worker = ShardWorker(0, min_element().reactions)
+        worker.ingest([(Element(v, "x", 0), 1) for v in (3, 1, 2)])
+        with pytest.raises(ValueError, match="budget"):
+            worker.run_local(budget=budget)
+        assert worker.multiset == Multiset([(3, "x"), (1, "x"), (2, "x")])
+        assert worker.run_local(max_supersteps=1, budget=1).fired == 1
+        worker.close()
+
     def test_fired_counts_copies_not_matches(self):
         worker = ShardWorker(0, min_element().reactions)
         worker.ingest([(Element(1, "x", 0), 40), (Element(2, "x", 0), 40)])
