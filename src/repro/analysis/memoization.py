@@ -57,10 +57,7 @@ class ReuseStatistics:
 
 def reuse_from_dataflow(graph: DataflowGraph, **run_kwargs) -> ReuseStatistics:
     """Reuse statistics of one dataflow execution (root injections excluded)."""
-    result = run_graph(graph, **run_kwargs)
-    signatures = [
-        event.signature() for event in result.firings if event.kind != "root"
-    ]
+    signatures = run_graph(graph, **run_kwargs).signatures(include_roots=False)
     return ReuseStatistics(total=len(signatures), unique=len(set(signatures)))
 
 

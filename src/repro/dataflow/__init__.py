@@ -4,6 +4,7 @@ from .builder import GraphBuilder, OutputRef
 from .compiled_ops import CompiledGraphOps, compile_node
 from .graph import DataflowGraph, Edge, GraphError
 from .interpreter import (
+    DataflowDeadlockError,
     DataflowInterpreter,
     DataflowResult,
     FiringEvent,
@@ -30,7 +31,8 @@ __all__ = [
     "DataflowGraph", "Edge", "GraphError",
     "GraphBuilder", "OutputRef",
     "TokenStore",
-    "DataflowInterpreter", "DataflowResult", "FiringEvent", "run_graph",
+    "DataflowInterpreter", "DataflowResult", "FiringEvent", "DataflowDeadlockError",
+    "run_graph",
     "CompiledGraphOps", "compile_node",
     "validate_graph", "ValidationReport", "ValidationIssue",
 ]

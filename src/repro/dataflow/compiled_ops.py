@@ -14,10 +14,11 @@ dispatch is resolved once, at graph load:
   in.  Kernels return exactly what ``node.compute`` returns (same dicts,
   same error messages), so firing events are indistinguishable from the
   interpreted path's.
-* :class:`CompiledGraphOps` packages the kernel table with a precomputed
-  ``(node, port) -> outgoing edges`` adjacency (the emit plan) and the
-  per-node tag deltas, so the run loop does two dict lookups where it used
-  to do attribute dispatch plus list construction.
+* :class:`CompiledGraphOps` packages the kernel table with precomputed
+  ``node -> port -> (consumer, port)`` routes (the emit plan) and the
+  per-node tag deltas, and hands both run loops the same emit step
+  (:meth:`CompiledGraphOps.sender`), so a firing does a few dict lookups
+  where it used to do attribute dispatch plus list construction.
 
 Node classes outside the taxonomy of :mod:`repro.dataflow.nodes` fall back
 to their own ``compute`` method — the closure-composition analogue of the
@@ -26,9 +27,9 @@ Gamma compiler's fallback: unknown semantics are delegated, never guessed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from .graph import DataflowGraph, Edge
+from .graph import DataflowGraph
 from .nodes import (
     ARITHMETIC_FUNCTIONS,
     COMPARISON_FUNCTIONS,
@@ -49,11 +50,17 @@ from .nodes import (
     RootNode,
     SteerNode,
 )
+from .matching import TokenStore
+from .token import Token
 
 __all__ = ["CompiledGraphOps", "compile_node"]
 
 #: A compiled node kernel: input-port mapping -> output-port mapping.
 Kernel = Callable[[Mapping[str, Any]], Dict[str, Any]]
+
+#: Where an emitted value goes: ``(dst node, dst port)``, or ``(None, label)``
+#: for a dangling output edge.
+Route = Tuple[Optional[str], str]
 
 
 def _operator_kernel(node: OperatorNode, wrap_bool: bool) -> Kernel:
@@ -124,32 +131,62 @@ def compile_node(node: Node) -> Kernel:
 
 
 class CompiledGraphOps:
-    """Per-graph compiled execution tables shared by the interpreter and the
-    multi-PE simulator.
+    """Per-graph execution tables shared by the interpreter and the multi-PE
+    simulator.
 
-    ``kernels[node_id]`` fires a vertex, ``out_edges[(node_id, port)]`` is the
-    precomputed emit adjacency (a tuple, possibly empty), and
-    ``tag_delta[node_id]`` the iteration-tag shift.  Graphs are immutable
-    during execution, so the tables are built once per run (or once per
-    graph, when the caller keeps the ops object around).
+    ``kernels[node_id]`` fires a vertex — a compiled kernel, or the node's
+    own ``compute`` with ``compiled=False`` (the reference the kernels are
+    checked against; everything else is the same table).
+    ``tag_delta[node_id]`` is the iteration-tag shift and ``kind[node_id]``
+    the node kind.  ``routes[node_id][port]`` is the precomputed emit
+    adjacency as the run loops consume it: one ``(dst, dst_port)`` pair per
+    outgoing edge, ``(None, label)`` for a dangling output edge.  Graphs are
+    immutable during execution, so the tables are built once per run (or
+    once per graph, when the caller keeps the ops object around).
+
+    ``plain_tags`` is true when every tag delta is a non-negative int, so
+    that tags, which start at 0, stay valid :class:`~repro.dataflow.Token`
+    tags without a check per deposit.
     """
 
-    __slots__ = ("graph", "kernels", "out_edges", "tag_delta", "kind")
+    __slots__ = ("graph", "kernels", "routes", "tag_delta", "kind", "plain_tags")
 
-    def __init__(self, graph: DataflowGraph) -> None:
+    def __init__(self, graph: DataflowGraph, compiled: bool = True) -> None:
         self.graph = graph
-        self.kernels: Dict[str, Kernel] = {}
-        self.out_edges: Dict[Tuple[str, str], Tuple[Edge, ...]] = {}
-        self.tag_delta: Dict[str, int] = {}
-        self.kind: Dict[str, str] = {}
-        for node in graph.nodes:
-            node_id = node.node_id
-            self.kernels[node_id] = compile_node(node)
-            self.tag_delta[node_id] = node.tag_delta()
-            self.kind[node_id] = node.kind
-            for port in node.output_ports():
-                self.out_edges[(node_id, port)] = tuple(graph.out_edges(node_id, port))
+        nodes = graph.nodes
+        self.kernels: Dict[str, Kernel] = {
+            node.node_id: compile_node(node) if compiled else node.compute for node in nodes
+        }
+        self.tag_delta: Dict[str, int] = {node.node_id: node.tag_delta() for node in nodes}
+        self.kind: Dict[str, str] = {node.node_id: node.kind for node in nodes}
+        # One pass over the edges, in insertion order: the order
+        # ``graph.out_edges`` lists them in.
+        self.routes: Dict[str, Dict[str, List[Route]]] = {node.node_id: {} for node in nodes}
+        for edge in graph.edges:
+            route = (edge.dst, edge.label if edge.dst is None else edge.dst_port)
+            self.routes[edge.src].setdefault(edge.src_port, []).append(route)
+        self.plain_tags: bool = all(
+            type(delta) is int and delta >= 0 for delta in self.tag_delta.values()
+        )
 
-    def emit_edges(self, node_id: str, port: str) -> Tuple[Edge, ...]:
-        """The outgoing edges of ``node_id``'s ``port`` (empty tuple if none)."""
-        return self.out_edges.get((node_id, port), ())
+    def sender(
+        self, store: TokenStore, outputs: Dict[str, List[Token]]
+    ) -> Callable[[str, Dict[str, Any], int], None]:
+        """A run's emit step: ``send(node_id, produced, tag)`` delivers every
+        produced value along its routes — into ``store`` for a consumer, as
+        a :class:`~repro.dataflow.Token` appended to ``outputs[label]`` for a
+        dangling edge.  Ports without routes drop their value (a steer's
+        unconnected branch)."""
+        routes = self.routes
+        put = store.put if self.plain_tags else store.put_checked
+
+        def send(node_id: str, produced: Dict[str, Any], tag: int) -> None:
+            node_routes = routes[node_id]
+            for port, value in produced.items():
+                for dst, where in node_routes.get(port, ()):
+                    if dst is None:
+                        outputs[where].append(Token(value, tag))
+                    else:
+                        put(dst, where, value, tag)
+
+        return send

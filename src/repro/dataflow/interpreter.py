@@ -22,22 +22,36 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..multiset.element import Element
 from ..multiset.multiset import Multiset
 from .compiled_ops import CompiledGraphOps
 from .graph import DataflowGraph
-from .matching import TokenStore
+from .matching import ReadyEntry, TokenStore
 from .token import INITIAL_TAG, Token
 
-__all__ = ["FiringEvent", "DataflowResult", "DataflowInterpreter", "run_graph"]
+__all__ = [
+    "FiringEvent", "DataflowResult", "DataflowInterpreter", "DataflowDeadlockError",
+    "run_graph",
+]
 
 DEFAULT_MAX_FIRINGS = 1_000_000
 
+#: One logged firing: ``(node_id, tag, inputs, produced)``.
+LogEntry = Tuple[str, int, Dict[str, Any], Dict[str, Any]]
+
+#: A reuse signature: node plus its sorted input items, tag excluded.
+Signature = Tuple[str, Tuple[Tuple[str, Any], ...]]
+
 
 class DataflowDeadlockError(RuntimeError):
-    """Raised when the step budget is exhausted before the graph drains."""
+    """Raised when the firing budget is exhausted before the graph drains."""
+
+
+def _signature(node_id: str, inputs: Mapping[str, Any]) -> Signature:
+    return (node_id, tuple(sorted(inputs.items())))
 
 
 @dataclass(frozen=True)
@@ -51,19 +65,45 @@ class FiringEvent:
     inputs: Dict[str, Any]
     outputs: Dict[str, Any]
 
-    def signature(self) -> Tuple[str, Tuple[Tuple[str, Any], ...]]:
+    def signature(self) -> Signature:
         """Reuse signature: node plus input values, tag excluded (see DF-DTM)."""
-        return (self.node_id, tuple(sorted(self.inputs.items())))
+        return _signature(self.node_id, self.inputs)
 
 
 @dataclass
 class DataflowResult:
-    """Outcome of draining a dataflow graph."""
+    """Outcome of draining a dataflow graph.
+
+    The run loop records a flat ``log`` — one ``(node_id, tag, inputs,
+    produced)`` tuple per firing, roots first — and :attr:`firings`
+    materializes :class:`FiringEvent` objects from it on first read, each
+    with its own copies of the two dicts.  :meth:`firing_counts`,
+    :meth:`reuse_statistics` and :meth:`signatures` read the log directly.
+    ``kinds`` maps node ids to node kinds.  Runs with ``record_events=False``
+    leave the log empty.
+    """
 
     outputs: Dict[str, List[Token]]
-    firings: List[FiringEvent]
     total_firings: int
+    log: List[LogEntry] = field(default_factory=list, repr=False)
+    kinds: Mapping[str, str] = field(default_factory=dict, repr=False)
     drained: bool = True
+
+    @cached_property
+    def firings(self) -> List[FiringEvent]:
+        """One :class:`FiringEvent` per logged firing, in firing order."""
+        kinds = self.kinds
+        return [
+            FiringEvent(
+                index=index,
+                node_id=node_id,
+                kind=kinds[node_id],
+                tag=tag,
+                inputs=dict(inputs),
+                outputs=dict(produced),
+            )
+            for index, (node_id, tag, inputs, produced) in enumerate(self.log)
+        ]
 
     def output_values(self, label: str) -> List[Any]:
         """Values of the tokens that reached output edge ``label``."""
@@ -91,16 +131,44 @@ class DataflowResult:
     def firing_counts(self) -> Dict[str, int]:
         """Node id -> number of firings."""
         counts: Dict[str, int] = {}
-        for event in self.firings:
-            counts[event.node_id] = counts.get(event.node_id, 0) + 1
+        for entry in self.log:
+            counts[entry[0]] = counts.get(entry[0], 0) + 1
         return counts
+
+    def signatures(self, include_roots: bool = True) -> List[Signature]:
+        """:meth:`FiringEvent.signature` of every logged firing, in order."""
+        kinds = self.kinds
+        return [
+            _signature(node_id, inputs)
+            for node_id, _tag, inputs, _produced in self.log
+            if include_roots or kinds[node_id] != "root"
+        ]
 
     def reuse_statistics(self) -> Dict[str, int]:
         """Trace-reuse statistics (same contract as :meth:`Trace.reuse_statistics`)."""
-        signatures = [f.signature() for f in self.firings]
+        signatures = self.signatures()
         unique = len(set(signatures))
         total = len(signatures)
         return {"total": total, "unique": unique, "reusable": total - unique}
+
+
+def _picker(policy: str, rng: random.Random) -> Callable[[Set[ReadyEntry]], ReadyEntry]:
+    """The entry a policy fires next, chosen from the live ready set.
+
+    ``fifo`` / ``lifo`` take the first / last entry of the sorted ready list
+    (``min`` / ``max`` need no sort); ``random`` draws an index into the
+    sorted list, so a seed replays the same schedule.
+    """
+    if policy == "fifo":
+        return min
+    if policy == "lifo":
+        return max
+
+    def pick_random(ready: Set[ReadyEntry]) -> ReadyEntry:
+        entries = sorted(ready)
+        return entries[rng.randrange(len(entries))]
+
+    return pick_random
 
 
 class DataflowInterpreter:
@@ -117,16 +185,18 @@ class DataflowInterpreter:
     ) -> None:
         if policy not in ("fifo", "lifo", "random"):
             raise ValueError(f"unknown firing policy {policy!r}")
+        if max_firings <= 0:
+            raise ValueError(f"max_firings must be positive, got {max_firings!r}")
         self.graph = graph
         self.policy = policy
         self.max_firings = max_firings
         self.record_events = record_events
         self.compiled = compiled
-        # Compiled node kernels + emit adjacency, built once per interpreter:
-        # firing then costs two dict lookups instead of method dispatch and a
-        # fresh out-edge list per emit.  ``compiled=False`` keeps the
-        # node.compute / graph.out_edges baseline.
-        self._ops: Optional[CompiledGraphOps] = CompiledGraphOps(graph) if compiled else None
+        # Kernel, emit-route and tag tables, built once per interpreter:
+        # firing then costs a few dict lookups instead of method dispatch and
+        # a fresh out-edge list per emit.  ``compiled=False`` fires through
+        # ``node.compute`` over the same tables.
+        self._ops = CompiledGraphOps(graph, compiled=compiled)
         self._rng = random.Random(seed)
 
     # -- overridable hooks ---------------------------------------------------------
@@ -142,102 +212,51 @@ class DataflowInterpreter:
         vertices (keyed by node id), which lets the same graph be executed on
         many inputs — the equivalence experiments sweep inputs this way.
         """
-        store = TokenStore(self.graph)
-        outputs: Dict[str, List[Token]] = {e.label: [] for e in self.graph.output_edges()}
-        firings: List[FiringEvent] = []
+        graph = self.graph
+        ops = self._ops
         values = dict(self.root_values())
         if root_values:
-            unknown = set(root_values) - {n.node_id for n in self.graph.roots()}
+            unknown = set(root_values) - {n.node_id for n in graph.roots()}
             if unknown:
                 raise ValueError(f"root_values for unknown roots: {sorted(unknown)}")
             values.update(root_values)
 
+        store = TokenStore(graph)
+        outputs: Dict[str, List[Token]] = {e.label: [] for e in graph.output_edges()}
+        send = ops.sender(store, outputs)
+        log: List[LogEntry] = []
+        record = log.append if self.record_events else None
+
         total = 0
         # Inject the initial tokens produced by root vertices.
-        for root in self.graph.roots():
-            token = Token(values[root.node_id], INITIAL_TAG)
-            self._emit(root.node_id, {"out": token.value}, INITIAL_TAG, store, outputs)
-            if self.record_events:
-                firings.append(
-                    FiringEvent(
-                        index=total,
-                        node_id=root.node_id,
-                        kind=root.kind,
-                        tag=INITIAL_TAG,
-                        inputs={},
-                        outputs={"out": token.value},
-                    )
-                )
+        for root in graph.roots():
+            produced = {"out": values[root.node_id]}
+            send(root.node_id, produced, INITIAL_TAG)
+            if record is not None:
+                record((root.node_id, INITIAL_TAG, {}, produced))
             total += 1
 
-        ops = self._ops
-        while store.has_ready():
-            if total >= self.max_firings:
+        ready = store.ready_set
+        take = store.take
+        pick = _picker(self.policy, self._rng)
+        kernels = ops.kernels
+        tag_delta = ops.tag_delta
+        max_firings = self.max_firings
+        while ready:
+            if total >= max_firings:
                 raise DataflowDeadlockError(
-                    f"exceeded {self.max_firings} firings on graph {self.graph.name!r}"
+                    f"exceeded {max_firings} firings on graph {graph.name!r}"
                 )
-            node_id, tag = self._pick(store.ready())
-            inputs = store.consume(node_id, tag)
-            if ops is not None:
-                produced = ops.kernels[node_id](inputs)
-                out_tag = tag + ops.tag_delta[node_id]
-                kind = ops.kind[node_id]
-            else:
-                node = self.graph.node(node_id)
-                produced = node.compute(inputs)
-                out_tag = tag + node.tag_delta()
-                kind = node.kind
-            self._emit(node_id, produced, out_tag, store, outputs)
-            if self.record_events:
-                firings.append(
-                    FiringEvent(
-                        index=total,
-                        node_id=node_id,
-                        kind=kind,
-                        tag=tag,
-                        inputs=dict(inputs),
-                        outputs=dict(produced),
-                    )
-                )
+            key = pick(ready)
+            inputs = take(key)
+            node_id, tag = key
+            produced = kernels[node_id](inputs)
+            send(node_id, produced, tag + tag_delta[node_id])
+            if record is not None:
+                record((node_id, tag, inputs, produced))
             total += 1
 
-        return DataflowResult(
-            outputs=outputs,
-            firings=firings,
-            total_firings=total,
-            drained=True,
-        )
-
-    # -- helpers ----------------------------------------------------------------------
-    def _pick(self, ready: Sequence[Tuple[str, int]]) -> Tuple[str, int]:
-        if self.policy == "fifo":
-            return ready[0]
-        if self.policy == "lifo":
-            return ready[-1]
-        return ready[self._rng.randrange(len(ready))]
-
-    def _emit(
-        self,
-        node_id: str,
-        produced: Dict[str, Any],
-        tag: int,
-        store: TokenStore,
-        outputs: Dict[str, List[Token]],
-    ) -> None:
-        """Send one token per outgoing edge of every produced output port."""
-        ops = self._ops
-        for port, value in produced.items():
-            token = Token(value, tag)
-            edges = (
-                ops.emit_edges(node_id, port)
-                if ops is not None
-                else self.graph.out_edges(node_id, port)
-            )
-            for edge in edges:
-                if edge.dst is None:
-                    outputs.setdefault(edge.label, []).append(token)
-                else:
-                    store.deposit(edge.dst, edge.dst_port, token)
+        return DataflowResult(outputs=outputs, total_firings=total, log=log, kinds=ops.kind)
 
 
 def run_graph(

@@ -10,19 +10,21 @@ Tokens arriving on a port that already holds a value for the same tag are
 queued (FIFO): this happens on merged ports such as the inctag input of
 Fig. 2, which receives both the initial value and every loop-back value.
 
-The store *is* the dataflow side's persistent scheduling index: the ready set
-is maintained incrementally on every deposit/consume, the exact analog of the
-Gamma side's attached :class:`~repro.multiset.index.LabelTagIndex` — neither
-runtime rescans its pool between steps.
+Readiness is *counted*: each waiting ``(node, tag)`` entry keeps the number of
+its input ports holding at least one operand, so a deposit or a consume
+updates the ready set in O(1) — a port turning non-empty bumps the count, and
+the entry is ready exactly when the count reaches the node's arity.  The
+store *is* the dataflow side's persistent scheduling index, the exact analog
+of the Gamma side's attached :class:`~repro.multiset.index.LabelTagIndex`:
+neither runtime rescans its pool between steps.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from collections import deque
+from typing import Any, Dict, List, Set, Tuple
 
 from .graph import DataflowGraph
-from .nodes import Node
 from .token import Token
 
 __all__ = ["TokenStore", "ReadyEntry"]
@@ -32,42 +34,80 @@ ReadyEntry = Tuple[str, int]
 
 
 class TokenStore:
-    """Waiting-matching store for one graph execution."""
+    """Waiting-matching store for one graph execution.
+
+    :meth:`deposit` / :meth:`consume` are the checked public surface.  The run
+    loops use :meth:`put` and :meth:`take`, which skip the checks their
+    callers have already made (ports come from the graph's validated edges,
+    entries from :attr:`ready_set`), and read :attr:`ready_set` directly.
+    """
 
     def __init__(self, graph: DataflowGraph) -> None:
         self.graph = graph
-        # (node_id, tag) -> port -> FIFO of values
-        self._waiting: Dict[Tuple[str, int], Dict[str, Deque]] = defaultdict(dict)
-        self._ready: Set[ReadyEntry] = set()
-        self._arity: Dict[str, int] = {
-            node.node_id: len(node.input_ports()) for node in graph.nodes
+        # node id -> its input ports, in positional order (resolved once).
+        self._ports: Dict[str, Tuple[str, ...]] = {
+            node.node_id: tuple(node.input_ports()) for node in graph.nodes
         }
+        self._arity: Dict[str, int] = {node_id: len(p) for node_id, p in self._ports.items()}
+        #: (node id, tag) -> [non-empty port count, {port: FIFO of values}].
+        self._waiting: Dict[ReadyEntry, List[Any]] = {}
+        #: The live set of entries whose firing rule holds.  Read it, never
+        #: mutate it: deposits and consumes keep it current.
+        self.ready_set: Set[ReadyEntry] = set()
 
     # -- deposits -----------------------------------------------------------------
     def deposit(self, node_id: str, port: str, token: Token) -> None:
         """Deliver ``token`` to ``node_id``'s input ``port``."""
-        node = self.graph.node(node_id)
-        if port not in node.input_ports():
+        ports = self._ports.get(node_id)
+        if ports is None:
+            self.graph.node(node_id)  # raises GraphError for an unknown node
+        if port not in (ports or ()):
             raise ValueError(f"node {node_id!r} has no input port {port!r}")
-        key = (node_id, token.tag)
-        ports = self._waiting[key]
-        ports.setdefault(port, deque()).append(token.value)
-        if self._is_complete(node, ports):
-            self._ready.add(key)
+        self.put(node_id, port, token.value, token.tag)
 
-    def _is_complete(self, node: Node, ports: Dict[str, Deque]) -> bool:
-        return all(ports.get(p) for p in node.input_ports())
+    def put(self, node_id: str, port: str, value: Any, tag: int) -> None:
+        """Deposit ``value`` at ``tag`` without a :class:`Token` or a port check.
+
+        ``port`` must be one of ``node_id``'s input ports and ``tag`` a
+        non-negative int (:meth:`put_checked` validates the tag).
+        """
+        key = (node_id, tag)
+        entry = self._waiting.get(key)
+        if entry is None:
+            self._waiting[key] = [1, {port: deque((value,))}]
+            if self._arity[node_id] == 1:
+                self.ready_set.add(key)
+            return
+        queues = entry[1]
+        queue = queues.get(port)
+        if queue:
+            queue.append(value)
+            return
+        if queue is None:
+            queues[port] = deque((value,))
+        else:
+            queue.append(value)
+        entry[0] += 1
+        if entry[0] == self._arity[node_id]:
+            self.ready_set.add(key)
+
+    def put_checked(self, node_id: str, port: str, value: Any, tag: int) -> None:
+        """:meth:`put` after validating ``tag`` as a :class:`Token` would."""
+        Token(value, tag)
+        self.put(node_id, port, value, tag)
 
     # -- readiness ------------------------------------------------------------------
     def ready(self) -> List[ReadyEntry]:
-        """The (node, tag) pairs whose firing rule is satisfied."""
-        return sorted(self._ready)
+        """The (node, tag) pairs whose firing rule is satisfied, sorted."""
+        return sorted(self.ready_set)
 
     def has_ready(self) -> bool:
-        return bool(self._ready)
+        """True when at least one (node, tag) pair can fire."""
+        return bool(self.ready_set)
 
     def is_ready(self, node_id: str, tag: int) -> bool:
-        return (node_id, tag) in self._ready
+        """True when ``node_id`` holds an operand on every input port at ``tag``."""
+        return (node_id, tag) in self.ready_set
 
     # -- consumption ------------------------------------------------------------------
     def consume(self, node_id: str, tag: int) -> Dict[str, object]:
@@ -77,31 +117,41 @@ class TokenStore:
         ``KeyError`` if the entry is not ready.
         """
         key = (node_id, tag)
-        if key not in self._ready:
+        if key not in self.ready_set:
             raise KeyError(f"({node_id!r}, tag={tag}) is not ready")
-        node = self.graph.node(node_id)
-        ports = self._waiting[key]
-        inputs: Dict[str, object] = {}
-        for port in node.input_ports():
-            inputs[port] = ports[port].popleft()
-        if not self._is_complete(node, ports):
-            self._ready.discard(key)
-        if all(not q for q in ports.values()):
-            del self._waiting[key]
+        return self.take(key)
+
+    def take(self, key: ReadyEntry) -> Dict[str, Any]:
+        """:meth:`consume` for an entry known to be in :attr:`ready_set`."""
+        entry = self._waiting[key]
+        queues = entry[1]
+        inputs: Dict[str, Any] = {}
+        emptied = 0
+        for port in self._ports[key[0]]:
+            queue = queues[port]
+            inputs[port] = queue.popleft()
+            if not queue:
+                emptied += 1
+        if emptied:
+            # Every port was non-empty before; one that drained ends readiness.
+            self.ready_set.discard(key)
+            entry[0] -= emptied
+            if not entry[0]:
+                del self._waiting[key]
         return inputs
 
     # -- inspection -----------------------------------------------------------------
     def pending_tokens(self) -> int:
         """Number of operands currently waiting (unmatched or partially matched)."""
-        return sum(len(q) for ports in self._waiting.values() for q in ports.values())
+        return sum(len(q) for entry in self._waiting.values() for q in entry[1].values())
 
     def waiting_tags(self, node_id: str) -> List[int]:
         """Tags for which ``node_id`` holds at least one operand."""
         return sorted(tag for (nid, tag) in self._waiting if nid == node_id)
 
-    def snapshot(self) -> Dict[Tuple[str, int], Dict[str, List]]:
+    def snapshot(self) -> Dict[ReadyEntry, Dict[str, List]]:
         """A copy of the waiting store (for debugging and tests)."""
         return {
-            key: {port: list(queue) for port, queue in ports.items()}
-            for key, ports in self._waiting.items()
+            key: {port: list(queue) for port, queue in entry[1].items()}
+            for key, entry in self._waiting.items()
         }

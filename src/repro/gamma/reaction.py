@@ -30,10 +30,10 @@ This single formulation covers every listing in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..multiset.element import Element
-from .expr import Expr
+from .expr import BoolOp, Compare, Const, Expr, Var
 from .pattern import Binding, ElementPattern, ElementTemplate
 
 __all__ = ["Branch", "Reaction"]
@@ -152,6 +152,30 @@ class Reaction:
         """True when some consumed element's label is a pattern variable."""
         return any(pat.fixed_label() is None for pat in self.replace)
 
+    def label_domain(self) -> Optional[FrozenSet[str]]:
+        """Every label a match can consume, or ``None`` when that is any label.
+
+        Literal pattern labels count as themselves.  A variable label counts
+        as the literals the guard restricts it to: an OR-tree of ``x == 'L'``
+        comparisons, alone or as one conjunct of a top-level ``and`` — the
+        form Algorithm 1 gives a node with several input arcs
+        (``where x == 'E0' or x == 'E10'``).  One unrestricted variable label
+        makes the domain unbounded (``None``).
+        """
+        labels = set(self.consumed_labels())
+        variables = {pat.label.name for pat in self.replace if isinstance(pat.label, Var)}
+        choices: Dict[str, FrozenSet[str]] = {}
+        for conjunct in _conjuncts(self.guard):
+            restriction = _label_choices(conjunct)
+            if restriction is not None:
+                name, allowed = restriction
+                choices[name] = choices[name] & allowed if name in choices else allowed
+        if not variables <= choices.keys():
+            return None
+        for name in variables:
+            labels |= choices[name]
+        return frozenset(labels)
+
     def produced_labels(self) -> FrozenSet[str]:
         """Literal labels that can be produced by any branch (best effort).
 
@@ -222,3 +246,30 @@ class Reaction:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Reaction({self.name!r}, arity={self.arity}, branches={len(self.branches)})"
+
+
+def _conjuncts(guard: Optional[Expr]) -> List[Expr]:
+    """The terms of ``guard``'s top-level ``and`` chain (itself if none)."""
+    if guard is None:
+        return []
+    if isinstance(guard, BoolOp) and guard.op == "and":
+        return _conjuncts(guard.left) + _conjuncts(guard.right)
+    return [guard]
+
+
+def _label_choices(expr: Expr) -> Optional[Tuple[str, FrozenSet[str]]]:
+    """``(x, {'L', ...})`` when ``expr`` is an OR-tree of ``x == 'L'`` over one
+    variable ``x`` and string literals; ``None`` for anything else."""
+    if isinstance(expr, BoolOp):
+        if expr.op != "or":
+            return None
+        left, right = _label_choices(expr.left), _label_choices(expr.right)
+        if left is None or right is None or left[0] != right[0]:
+            return None
+        return left[0], left[1] | right[1]
+    if isinstance(expr, Compare) and expr.op == "==":
+        for name, literal in ((expr.left, expr.right), (expr.right, expr.left)):
+            if isinstance(name, Var) and isinstance(literal, Const):
+                if isinstance(literal.value, str):
+                    return name.name, frozenset((literal.value,))
+    return None

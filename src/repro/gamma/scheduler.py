@@ -14,9 +14,11 @@ ports that architecture:
   kept in sync; the multiset's change notifications only feed the
   scheduler's dirty-label set;
 * each reaction's *consumed-label footprint* is precomputed
-  (:meth:`~repro.gamma.reaction.Reaction.consumed_labels`); a reaction whose
-  replace list binds a variable label depends on every label and is treated as
-  a wildcard;
+  (:meth:`~repro.gamma.reaction.Reaction.consumed_labels`); a variable label
+  the guard restricts to literals is watched on those literals
+  (:meth:`~repro.gamma.reaction.Reaction.label_domain`), and a reaction with
+  any other variable label depends on every label and is treated as a
+  wildcard;
 * the scheduler keeps a worklist of "possibly enabled" reactions.  A reaction
   probed without success is *parked*; after a firing, only parked reactions
   whose footprint intersects the labels touched by the rewrite are woken.
@@ -113,11 +115,14 @@ class ReactionScheduler:
         self.index = LabelTagIndex()
         self.index.attach(multiset)
         self.matcher = Matcher(multiset, index=self.index, rng=rng, compiled=compiled)
-        # Footprints: which labels each reaction consumes; variable-label
-        # reactions depend on everything and are woken by any change.  With
-        # ``compiled=True`` the reactions are specialized eagerly (so the
-        # first probe pays no compile latency) and the footprints come from
-        # the compiled form, which resolved them at compile time.
+        # Footprints: which labels each reaction consumes.  A variable label
+        # the guard restricts to literals (Algorithm 1's merge reactions,
+        # ``where x == 'E0' or x == 'E10'``) is watched on those literals;
+        # any other variable-label reaction depends on everything and is
+        # woken by any change.  With ``compiled=True`` the reactions are
+        # specialized eagerly (so the first probe pays no compile latency)
+        # and the footprints come from the compiled form, which resolved
+        # them at compile time.
         self._wildcards: Set[int] = set()
         self._watchers: Dict[str, List[int]] = {}
         # Per-reaction compiled forms (None entries probe interpretively),
@@ -133,7 +138,11 @@ class ReactionScheduler:
                 wildcard = reaction.has_variable_label()
                 footprint = reaction.consumed_labels()
             if wildcard:
-                self._wildcards.add(i)
+                domain = reaction.label_domain()
+                if domain is None:
+                    self._wildcards.add(i)
+                else:
+                    footprint = domain
             for label in footprint:
                 self._watchers.setdefault(label, []).append(i)
         self._det_order: List[int] = list(range(len(self.reactions)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..dataflow.compiled_ops import CompiledGraphOps
 from ..dataflow.graph import DataflowGraph
@@ -40,9 +40,11 @@ class DataflowSimulationResult:
     per_pe_load: List[int] = field(default_factory=list)
 
     def output_values(self, label: str) -> List[Any]:
+        """Values of the tokens that reached output edge ``label``."""
         return [t.value for t in self.outputs.get(label, [])]
 
     def outputs_as_multiset(self) -> Multiset:
+        """Output tokens as a multiset of ``[value, label, tag]`` elements."""
         elements = []
         for label, tokens in self.outputs.items():
             for token in tokens:
@@ -61,56 +63,59 @@ class DataflowSimulator:
         max_steps: int = DEFAULT_MAX_STEPS,
         compiled: bool = True,
     ) -> None:
+        if max_steps <= 0:
+            raise ValueError(f"max_steps must be positive, got {max_steps!r}")
         self.graph = graph
         self.num_pes = num_pes
         self.max_steps = max_steps
         self.compiled = compiled
-        # Same compiled kernels/emit plan as the sequential interpreter.
-        self._ops: Optional[CompiledGraphOps] = CompiledGraphOps(graph) if compiled else None
+        # Same kernel/route tables as the sequential interpreter.
+        self._ops = CompiledGraphOps(graph, compiled=compiled)
         self._rng = random.Random(seed)
 
     def run(self, root_values: Optional[Dict[str, Any]] = None) -> DataflowSimulationResult:
         """Drain the graph, firing ready nodes in synchronous parallel steps."""
-        store = TokenStore(self.graph)
-        outputs: Dict[str, List[Token]] = {e.label: [] for e in self.graph.output_edges()}
-        pool: PEPool = PEPool(self.num_pes)
-        total_firings = 0
-
-        values = {node.node_id: node.value for node in self.graph.roots()}
+        graph = self.graph
+        ops = self._ops
+        values = {node.node_id: node.value for node in graph.roots()}
         if root_values:
             unknown = set(root_values) - set(values)
             if unknown:
                 raise ValueError(f"root_values for unknown roots: {sorted(unknown)}")
             values.update(root_values)
 
+        store = TokenStore(graph)
+        outputs: Dict[str, List[Token]] = {e.label: [] for e in graph.output_edges()}
+        send = ops.sender(store, outputs)
+        pool: PEPool = PEPool(self.num_pes)
+        total_firings = 0
+
         # Root injection counts as step 0 work: all roots fire simultaneously,
         # exactly like the initial multiset is present "for free" on the Gamma side.
-        for root in self.graph.roots():
-            self._emit(root.node_id, {"out": values[root.node_id]}, INITIAL_TAG, store, outputs)
+        for root in graph.roots():
+            send(root.node_id, {"out": values[root.node_id]}, INITIAL_TAG)
 
+        ready = store.ready_set
+        take = store.take
+        kernels = ops.kernels
+        tag_delta = ops.tag_delta
         steps = 0
-        while store.has_ready():
+        while ready:
             if steps >= self.max_steps:
                 # Same budget contract as the Gamma engines/simulator.
                 raise NonTerminationError(f"simulation exceeded {self.max_steps} steps")
-            ready = store.ready()
-            self._rng.shuffle(ready)
-            scheduled = pool.dispatch(ready)
-            # Consume all scheduled entries against the *current* store state,
-            # then emit: a synchronous step.
-            fired: List[Tuple[str, int, Dict[str, Any], Dict[str, Any]]] = []
-            ops = self._ops
-            for node_id, tag in scheduled:
-                inputs = store.consume(node_id, tag)
-                if ops is not None:
-                    produced = ops.kernels[node_id](inputs)
-                    fired.append((node_id, tag + ops.tag_delta[node_id], inputs, produced))
-                else:
-                    node = self.graph.node(node_id)
-                    produced = node.compute(inputs)
-                    fired.append((node_id, tag + node.tag_delta(), inputs, produced))
-            for node_id, out_tag, _inputs, produced in fired:
-                self._emit(node_id, produced, out_tag, store, outputs)
+            entries = sorted(ready)
+            self._rng.shuffle(entries)
+            scheduled = pool.dispatch(entries)
+            # Consume and fire all scheduled entries against the *current*
+            # store state, then emit: a synchronous step.
+            fired = []
+            for key in scheduled:
+                node_id, tag = key
+                produced = kernels[node_id](take(key))
+                fired.append((node_id, produced, tag + tag_delta[node_id]))
+            for node_id, produced, out_tag in fired:
+                send(node_id, produced, out_tag)
             total_firings += len(fired)
             steps += 1
 
@@ -122,28 +127,6 @@ class DataflowSimulator:
             total_firings=total_firings,
             per_pe_load=pool.load_balance(),
         )
-
-    def _emit(
-        self,
-        node_id: str,
-        produced: Dict[str, Any],
-        tag: int,
-        store: TokenStore,
-        outputs: Dict[str, List[Token]],
-    ) -> None:
-        ops = self._ops
-        for port, value in produced.items():
-            token = Token(value, tag)
-            edges = (
-                ops.emit_edges(node_id, port)
-                if ops is not None
-                else self.graph.out_edges(node_id, port)
-            )
-            for edge in edges:
-                if edge.dst is None:
-                    outputs.setdefault(edge.label, []).append(token)
-                else:
-                    store.deposit(edge.dst, edge.dst_port, token)
 
 
 def simulate_graph(

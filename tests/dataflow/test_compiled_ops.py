@@ -11,6 +11,7 @@ from repro.dataflow import (
     IncTagNode,
     RootNode,
     SteerNode,
+    TokenStore,
     compile_node,
     run_graph,
 )
@@ -81,15 +82,20 @@ class TestCompiledGraphOps:
         ops = CompiledGraphOps(graph)
         for node in graph.nodes:
             for port in node.output_ports():
-                assert list(ops.emit_edges(node.node_id, port)) == graph.out_edges(
-                    node.node_id, port
-                )
+                expected = [
+                    (edge.dst, edge.label if edge.dst is None else edge.dst_port)
+                    for edge in graph.out_edges(node.node_id, port)
+                ]
+                assert ops.routes[node.node_id].get(port, []) == expected
 
-    def test_missing_port_yields_empty_tuple(self):
+    def test_unrouted_port_drops_its_value(self):
         graph = DataflowGraph("g")
         graph.add_node(RootNode("r", value=1))
         ops = CompiledGraphOps(graph)
-        assert ops.emit_edges("r", "nonexistent") == ()
+        assert ops.routes["r"] == {}
+        store, outputs = TokenStore(graph), {}
+        ops.sender(store, outputs)("r", {"out": 1, "nonexistent": 2}, 0)
+        assert store.snapshot() == {} and outputs == {}
 
     def test_tag_deltas(self):
         graph = example2_graph()

@@ -3,12 +3,18 @@
 import pytest
 
 from repro.dataflow import (
+    DataflowDeadlockError,
+    DataflowGraph,
     DataflowInterpreter,
     GraphBuilder,
+    IncTagNode,
+    RootNode,
     Token,
     TokenStore,
     run_graph,
 )
+from repro.gamma import NonTerminationError
+from repro.runtime import DataflowSimulator
 from repro.workloads.paper_examples import (
     example1_expected_result,
     example1_graph,
@@ -134,3 +140,61 @@ class TestInterpreter:
         assert counts["R14"] == 4
         # The loop body adder runs once per iteration.
         assert counts["R19"] == 3
+
+
+class TestBudgets:
+    """Firing and step budgets must be positive; a budget one short of the
+    run's needs raises, the exact need passes."""
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_non_positive_firing_budget_is_refused(self, budget):
+        with pytest.raises(ValueError, match="max_firings must be positive"):
+            DataflowInterpreter(example1_graph(), max_firings=budget)
+        with pytest.raises(ValueError, match="max_firings must be positive"):
+            run_graph(example1_graph(), max_firings=budget)
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_firing_budget_is_exact(self, compiled):
+        graph = example2_graph()
+        needed = run_graph(graph).total_firings
+        with pytest.raises(DataflowDeadlockError, match=f"exceeded {needed - 1} firings"):
+            run_graph(graph, max_firings=needed - 1, compiled=compiled)
+        result = run_graph(graph, max_firings=needed, compiled=compiled)
+        assert result.total_firings == needed
+        assert result.single_output("Cout") == example2_expected_result()
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_step_budget_is_refused(self, budget):
+        with pytest.raises(ValueError, match="max_steps must be positive"):
+            DataflowSimulator(example1_graph(), max_steps=budget)
+
+    def test_step_budget_is_exact(self):
+        graph = example2_graph()
+        steps = DataflowSimulator(graph, seed=1).run().steps
+        with pytest.raises(NonTerminationError):
+            DataflowSimulator(graph, seed=1, max_steps=steps - 1).run()
+        assert DataflowSimulator(graph, seed=1, max_steps=steps).run().steps == steps
+
+    def test_deadlock_error_is_exported(self):
+        import repro.dataflow
+
+        assert "DataflowDeadlockError" in repro.dataflow.__all__
+        assert issubclass(DataflowDeadlockError, RuntimeError)
+
+
+class TestTagValidation:
+    def test_negative_tag_delta_raises_like_a_token(self):
+        """Internal deposits skip building a Token only while every tag delta
+        is a non-negative int; a graph with a negative delta is checked."""
+        graph = DataflowGraph("down")
+        graph.add_node(RootNode("r", value=1))
+        graph.add_node(IncTagNode("dec", delta=-1))
+        graph.add_node(IncTagNode("inc"))
+        graph.add_edge("r", "dec", "A")
+        graph.add_edge("dec", "inc", "B")
+        graph.add_edge("inc", None, "out")
+        for compiled in (True, False):
+            with pytest.raises(ValueError, match="token tag must be non-negative"):
+                run_graph(graph, compiled=compiled)
+            with pytest.raises(ValueError, match="token tag must be non-negative"):
+                DataflowSimulator(graph, compiled=compiled).run()

@@ -1,9 +1,10 @@
 """Tests for the incremental reaction scheduler and the engine run-loop contract.
 
-Covers the worklist mechanics (parking dead reactions, dirty-label wakeups),
-the lifecycle (detach unhooks the listeners), the ``run()`` argument-conflict
-guard, the ``raise_on_budget=False`` partial-result mode, and the exact
-element-hash counts of the firing and attach paths.
+Covers the worklist mechanics (parking dead reactions, dirty-label wakeups,
+guard-restricted label domains), the lifecycle (detach unhooks the
+listeners), the ``run()`` argument-conflict guard, the
+``raise_on_budget=False`` partial-result mode, and the exact element-hash
+counts of the firing and attach paths.
 """
 
 import random
@@ -21,11 +22,16 @@ from repro.gamma import (
     greedy_disjoint_matches,
     run,
 )
+from repro.core import dataflow_to_gamma
+from repro.gamma.compiled import CompiledReaction
+from repro.gamma.expr import BoolOp, Compare, Const, Var
+from repro.gamma.matching import Matcher
 from repro.gamma.pattern import pattern, template
 from repro.gamma.reaction import Branch, Reaction
 from repro.gamma.stdlib import min_element, sum_reduction, values_multiset
 from repro.multiset import Element, Multiset
 from repro.api import RuntimeConfig
+from repro.workloads import LOOP_KERNELS, triangular
 
 
 def _rewrite(name, src_label, dst_label):
@@ -107,6 +113,112 @@ class TestWorklist:
         assert len(matches) == 2
         # The helper's temporary scheduler must not leave listeners behind.
         assert multiset._listeners == ()
+
+
+def _is(label):
+    return Compare("==", Var("x"), Const(label))
+
+
+def _merge(guard):
+    """One element under a variable label ``x``, restricted (or not) by ``guard``."""
+    return Reaction(
+        "it1",
+        [pattern("v", "x", "t", label_is_variable=True)],
+        [Branch(productions=[template("v", "E2", "t")])],
+        guard=guard,
+    )
+
+
+def _merge_reactions(kernel):
+    conversion = dataflow_to_gamma(kernel.graph())
+    return conversion, [r for r in conversion.program.reactions if r.has_variable_label()]
+
+
+class TestGuardRestrictedWakeups:
+    """Algorithm 1's merge reactions (``where x == 'E0' or x == 'E10'``) are
+    woken by their literal labels only, not by every change."""
+
+    def test_label_domain_of_the_guard_forms(self):
+        assert _merge(BoolOp("or", _is("E0"), _is("E10"))).label_domain() == {"E0", "E10"}
+        restricted = BoolOp("and", BoolOp("or", _is("E0"), _is("E10")),
+                            Compare(">", Var("v"), Const(3)))
+        assert _merge(restricted).label_domain() == {"E0", "E10"}
+        # Two restrictions of one variable intersect.
+        both = BoolOp("and", BoolOp("or", _is("E0"), _is("E10")), _is("E10"))
+        assert _merge(both).label_domain() == {"E10"}
+        assert _merge(Compare("==", Const("E4"), Var("x"))).label_domain() == {"E4"}
+        assert _rewrite("R1", "a", "b").label_domain() == {"a"}
+
+    @pytest.mark.parametrize("guard", [
+        None,
+        BoolOp("or", _is("E0"), Compare(">", Var("v"), Const(3))),
+        BoolOp("or", _is("E0"), Compare("==", Var("t"), Const("E1"))),
+        Compare("==", Var("x"), Const(3)),
+        Compare("!=", Var("x"), Const("E0")),
+    ], ids=["no-guard", "or-value-test", "or-other-variable", "non-string", "not-equal"])
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_other_guards_stay_wildcards(self, guard, compiled):
+        reaction = _merge(guard)
+        assert reaction.label_domain() is None
+        scheduler = ReactionScheduler([reaction], Multiset(), compiled=compiled)
+        assert scheduler.find_first() is None
+        scheduler.inject([(Element(1, "unrelated", 0), 1)])
+        scheduler.refresh()
+        assert scheduler.parked == frozenset()
+        scheduler.detach()
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_streamed_literal_rearms_a_parked_merge(self, compiled):
+        conversion, merges = _merge_reactions(triangular(3))
+        it1 = next(r for r in merges if r.name == "it1")
+        assert it1.label_domain() == {"E0", "E10"}
+        scheduler = ReactionScheduler([it1], Multiset(), compiled=compiled)
+        assert scheduler.find_first() is None
+        assert scheduler.parked == {0}
+        scheduler.inject([(Element(5, "E3", 0), 1), (Element(6, "E11", 1), 2)])
+        scheduler.refresh()
+        assert scheduler.parked == {0}  # no probe: nothing it1 can consume arrived
+        scheduler.inject([(Element(7, "E10", 1), 1)])
+        scheduler.refresh()
+        assert scheduler.parked == frozenset()
+        match = scheduler.find_first()
+        assert match is not None and match.consumed == (Element(7, "E10", 1),)
+        scheduler.detach()
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("kernel", sorted(LOOP_KERNELS))
+    def test_loop_kernels_keep_their_final_and_trace(self, kernel, compiled):
+        conversion, merges = _merge_reactions(LOOP_KERNELS[kernel]())
+        assert merges and all(r.label_domain() is not None for r in merges)
+        config = RuntimeConfig(engine="sequential", compiled=compiled)
+        precise = run(conversion.program, conversion.initial, config=config)
+        with mock.patch.object(Reaction, "label_domain", lambda self: None):
+            everywhere = run(conversion.program, conversion.initial, config=config)
+        assert precise.final == everywhere.final
+        trace = [(f.reaction, f.consumed, f.produced) for f in precise.trace.firings()]
+        assert trace == [(f.reaction, f.consumed, f.produced)
+                         for f in everywhere.trace.firings()]
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_triangular_merge_probe_count(self, compiled):
+        """Sequential ``triangular(1000)``: it1 + it2 were probed after every
+        firing (13 011 finds); now only when E0/E10 or E1/E11 change."""
+        conversion, _ = _merge_reactions(triangular(1000))
+        calls = {"it1": 0, "it2": 0}
+        finds = {True: (CompiledReaction, "find"), False: (Matcher, "find")}[compiled]
+        original = getattr(*finds)
+
+        def counting(self, *args, **kwargs):
+            reaction = self.reaction if compiled else args[0]
+            if reaction.name in calls:
+                calls[reaction.name] += 1
+            return original(self, *args, **kwargs)
+
+        with mock.patch.object(*finds, counting):
+            result = run(conversion.program, conversion.initial,
+                         config=RuntimeConfig(engine="sequential", compiled=compiled))
+        assert result.firings == 7005
+        assert calls["it1"] + calls["it2"] <= 4004
 
 
 class TestRunArgumentConflicts:
