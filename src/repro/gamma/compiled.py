@@ -47,9 +47,10 @@ the key alone the compiler derives
   :class:`~repro.gamma.matching.SuperstepBatch`.
 
 Guards and productions evaluated outside the matcher (``lambda E: ...``
-closures over a binding dict), the collectors' per-reaction *production
-functions* over slot values (keyed by :class:`ProductionKey`, so
-productions never split a :class:`ReactionShape`) and the columnar mask
+closures over a binding dict), the per-reaction *production functions*
+(keyed by :class:`ProductionKey`, so productions never split a
+:class:`ReactionShape`; counted over slot values for the collectors,
+count-free over a binding for single firings) and the columnar mask
 programs of :mod:`repro.gamma.vectorized` go through caches of the same
 kind, keyed by their own constant-lifted ASTs.
 
@@ -1099,23 +1100,25 @@ def _production_key(
     return key, tuple(canon.consts), tuple(canon.helpers)
 
 
-def _production_source(key: ProductionKey) -> str:
+def _production_source(key: ProductionKey, counted: bool = True) -> str:
     """Source of a production function's factory, ``def make(C, H): ...``.
 
-    ``produce(added, k, s0.., e0..)`` runs the first enabled branch over the
-    slot values (and, for pass-through templates, the consumed elements in
-    declaration order), counts its elements ``k`` times into ``added`` in
-    template order and returns them as a tuple.
+    Counted (the collectors' variant), ``produce(added, k, s0.., e0..)`` runs
+    the first enabled branch over the slot values (and, for pass-through
+    templates, the consumed elements in declaration order), counts its
+    elements ``k`` times into ``added`` in template order and returns them as
+    a tuple.  Count-free (the single-firing variant), ``produce(E, e0..)``
+    reads the slots it needs from the binding dict ``E`` by name and returns
+    the same elements as a list.
     """
     slot_of = {name: i for i, name in enumerate(key.slots)}
+    used: Dict[str, None] = {}
 
     def ref(name: str) -> str:
+        used[name] = None
         return f"s{slot_of[name]}"
 
-    params = ["added", "k"] + [f"s{i}" for i in range(len(key.slots))]
-    params += [f"e{p}" for p in range(key.arity)]
     writer = _SourceWriter()
-    writer.w(f"def produce({', '.join(params)}):")
     writer.indent = 1
     for condition, templates in key.branches:
         if condition is not None:
@@ -1146,15 +1149,26 @@ def _production_source(key: ProductionKey) -> str:
                 writer.w(f"t{i} = _checked_tag({tag})")
                 writer.w(f"p{i} = Element(value={value}, label=l{i}, tag=t{i})")
         produced = [f"p{i}" for i in range(len(templates))]
-        for element in produced:
-            writer.w(f"added[{element}] = added.get({element}, 0) + k")
-        writer.w(f"return {_tuple_source(produced)}")
+        if counted:
+            for element in produced:
+                writer.w(f"added[{element}] = added.get({element}, 0) + k")
+            writer.w(f"return {_tuple_source(produced)}")
+        else:
+            writer.w(f"return [{', '.join(produced)}]")
         if condition is not None:
             writer.indent -= 1
     if not key.branches or key.branches[-1][0] is not None:
         name = _render(key.name, ref)
         writer.w(f'raise ValueError(f"reaction {{{name}!r}} has no enabled branch")')
-    body = "\n".join("    " + line for line in writer.lines)
+    consumed = [f"e{p}" for p in range(key.arity)]
+    if counted:
+        params = ["added", "k"] + [f"s{i}" for i in range(len(key.slots))] + consumed
+        reads = []
+    else:
+        params = ["E"] + consumed
+        reads = [f"    s{slot_of[name]} = E[{name!r}]" for name in used]
+    lines = [f"def produce({', '.join(params)}):"] + reads + writer.lines
+    body = "\n".join("    " + line for line in lines)
     return f"def make(C, H):\n{body}\n    return produce\n"
 
 
@@ -1172,15 +1186,44 @@ class CompiledMatch(Match):
 
     Identical observable content to an interpreted :class:`Match` (same
     reaction, consumed tuple in declaration order, same binding dict, same
-    ``times`` and repr); :meth:`produced` runs the compiled productions
-    instead of re-walking the template ASTs.
+    ``times`` and repr); :meth:`produced` runs the reaction's codegenned
+    production function instead of re-walking the template ASTs.  Probe
+    hits are built through :func:`_compiled_match`, not the dataclass
+    constructor.
     """
 
     compiled: Optional["CompiledReaction"] = None
 
     def produced(self) -> List[Element]:
-        """The elements inserted when this match fires (compiled productions)."""
-        return self.compiled.apply(self.binding)
+        """The elements inserted when this match fires: the count-free
+        production function over the binding's slots, so a template that
+        re-emits a consumed element hands that element back."""
+        compiled = self.compiled
+        emit = compiled._emit
+        if emit is None:
+            emit = compiled._bind_emit()
+        return emit(self.binding, *self.consumed)
+
+
+_new_object = object.__new__
+_set_attribute = object.__setattr__
+
+
+def _compiled_match(
+    compiled: "CompiledReaction", consumed: Tuple[Element, ...], binding: Binding
+) -> CompiledMatch:
+    """A probe hit's :class:`CompiledMatch` (``times == 1``) without the
+    frozen dataclass's ``__init__``: one attribute store instead of five
+    ``object.__setattr__`` calls."""
+    match = _new_object(CompiledMatch)
+    _set_attribute(match, "__dict__", {
+        "reaction": compiled.reaction,
+        "consumed": consumed,
+        "binding": binding,
+        "times": 1,
+        "compiled": compiled,
+    })
+    return match
 
 
 class CompiledReaction:
@@ -1208,6 +1251,7 @@ class CompiledReaction:
         "_collect_det",
         "_collect_rng",
         "_produce",
+        "_emit",
         "_sites",
         "_branches",
         "_vectorized",
@@ -1242,21 +1286,22 @@ class CompiledReaction:
         )
         self._collect_det: Optional[Callable] = None
         self._collect_rng: Optional[Callable] = None
-        # The production function over slot values, and where each slot's
-        # value comes from: bound lazily too, by the first superstep claim.
+        # The production function over slot values (counted, for the
+        # collectors) and its count-free twin over a binding (for single
+        # firings), and where each slot's value comes from: all bound lazily,
+        # by the first claim or firing that needs them.
         self._produce: Optional[Callable] = None
+        self._emit: Optional[Callable] = None
         self._sites: Optional[Tuple[Tuple[int, str], ...]] = None
         # Fifth matcher variant (columnar mask program), built lazily like the
         # collectors: only columnar runs pay the lowering.  ``False`` is the
         # not-yet-attempted sentinel (``None`` means "tried, not lowerable").
         self._vectorized: Any = False
-        self._branches: Tuple[Tuple[Optional[Callable], Tuple[Callable, ...]], ...] = tuple(
-            (
-                None if branch.condition is None else _compile_env_expr(branch.condition),
-                tuple(_compile_template(tmpl) for tmpl in branch.productions),
-            )
-            for branch in reaction.branches
-        )
+        # Per-template closures over a binding dict, for :meth:`apply` and
+        # the columnar lowering only: built on first use by
+        # :meth:`_branch_table`, since firings go through the production
+        # functions.
+        self._branches: Optional[Tuple[Tuple[Optional[Callable], Tuple[Callable, ...]], ...]] = None
 
     def _bind(self, variant: str) -> Callable:
         """Instantiate one matcher variant: the shape's factory closed over
@@ -1287,10 +1332,7 @@ class CompiledReaction:
             )
         if got is None:
             return None
-        consumed, binding = got
-        return CompiledMatch(
-            reaction=self.reaction, consumed=consumed, binding=binding, compiled=self
-        )
+        return _compiled_match(self, *got)
 
     def iter_matches(
         self,
@@ -1310,9 +1352,7 @@ class CompiledReaction:
             )
         produced = 0
         for consumed, binding in raw:
-            yield CompiledMatch(
-                reaction=self.reaction, consumed=consumed, binding=binding, compiled=self
-            )
+            yield _compiled_match(self, consumed, binding)
             produced += 1
             if limit is not None and produced >= limit:
                 return
@@ -1424,18 +1464,28 @@ class CompiledReaction:
             *args, rng, mcount, remaining, views, batch, produce, self.match_of, room
         )
 
-    def _bind_productions(self) -> Callable:
-        """Bind the production function (codegenned per production key)."""
+    def _bind_production(self, variant: str) -> Callable:
+        """Bind one production-function variant (codegenned per production
+        key): ``"produce"`` (counted) or ``"emit"`` (count-free)."""
         sites = _slot_sites(self.shape, self.plan)
         key, consts, helpers = _production_key(self.reaction, self.plan, sites)
         make, _ = _PRODUCTIONS.get(key).factory(
-            "produce", lambda: _production_source(key)
+            variant, lambda: _production_source(key, counted=variant == "produce")
         )
         produce = make(consts, helpers)
-        produce.__qualname__ = f"{self.reaction.name}.produce"
+        produce.__qualname__ = f"{self.reaction.name}.{variant}"
         self._sites = tuple(sites[name] for name in self.plan.slots)
-        self._produce = produce
         return produce
+
+    def _bind_productions(self) -> Callable:
+        """Bind the collectors' counted production function."""
+        self._produce = self._bind_production("produce")
+        return self._produce
+
+    def _bind_emit(self) -> Callable:
+        """Bind the single-firing path's count-free production function."""
+        self._emit = self._bind_production("emit")
+        return self._emit
 
     def _slot_values(self, consumed: Sequence[Element]) -> List[Any]:
         """The slot values the compiled matcher binds from ``consumed``
@@ -1469,12 +1519,24 @@ class CompiledReaction:
         binding.  An all-branches-disabled binding raises the same
         ``ValueError`` as :meth:`Reaction.apply`.
         """
-        for condition, produce_fns in self._branches:
+        for condition, produce_fns in self._branch_table():
             if condition is None or condition(binding):
                 return [fn(binding) for fn in produce_fns]
         raise ValueError(
             f"reaction {self.reaction.name!r} is not enabled under binding {binding!r}"
         )
+
+    def _branch_table(self) -> Tuple[Tuple[Optional[Callable], Tuple[Callable, ...]], ...]:
+        """``(condition, template closures)`` per branch, built on first use."""
+        if self._branches is None:
+            self._branches = tuple(
+                (
+                    None if branch.condition is None else _compile_env_expr(branch.condition),
+                    tuple(_compile_template(tmpl) for tmpl in branch.productions),
+                )
+                for branch in self.reaction.branches
+            )
+        return self._branches
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -33,10 +33,11 @@ the incremental :class:`~repro.gamma.scheduler.ReactionScheduler`:
 2. the scheduler precomputes each reaction's consumed-label footprint and
    parks reactions proven dead; after a firing, only reactions whose footprint
    intersects the labels touched by the rewrite are re-probed;
-3. subclasses provide only the *match selection policy*
-   (:meth:`GammaEngine._select_matches`): first-in-declaration-order or
-   first-in-shuffled-order; :class:`ParallelEngine` swaps in a superstep
-   drain over :meth:`~repro.gamma.scheduler.ReactionScheduler.collect_superstep_matches`.
+3. each step fires the scheduler's first enabled match
+   (:meth:`~repro.gamma.scheduler.ReactionScheduler.find_first`), probing in
+   declaration order or — :class:`ChaoticEngine`, ``shuffled = True`` — in
+   shuffled order; :class:`ParallelEngine` swaps in a superstep drain over
+   :meth:`~repro.gamma.scheduler.ReactionScheduler.collect_superstep_matches`.
 
 Reactions are additionally *compiled* before the run starts
 (:mod:`repro.gamma.compiled`): slot-based codegenned matchers, compiled
@@ -63,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..api import RuntimeConfig
 
 from ..multiset.multiset import Multiset
-from .matching import Match, fire_batch
+from .matching import fire_batch
 from .program import GammaProgram, ProgramLike, SequentialProgram
 from .scheduler import ReactionScheduler
 from .tracer import Trace
@@ -120,11 +121,13 @@ class ExecutionResult:
 class GammaEngine:
     """Base class providing the shared scheduler-driven run loop.
 
-    Subclasses set a ``name``, optionally seed ``self._rng``, and implement
-    :meth:`_select_matches` — the scheduling policy applied once per step.
+    Subclasses set a ``name``, optionally seed ``self._rng``, and pick the
+    probe order: ``shuffled = True`` draws each step's reaction order from
+    that RNG instead of declaration order.
     """
 
     name = "abstract"
+    shuffled = False
 
     def __init__(
         self,
@@ -262,8 +265,8 @@ class GammaEngine:
         apply_rewrite = multiset.rewrite_unchecked if self.compiled else multiset.replace
         begin_step = trace.begin_step
         record = trace.record
+        shuffled = self.shuffled
         steps = 0
-        firings = 0
         while True:
             if steps >= max_steps:
                 if raise_on_budget:
@@ -271,23 +274,18 @@ class GammaEngine:
                         f"{self.name} engine exceeded {max_steps} steps "
                         f"on {label!r}"
                     )
-                return steps, firings, False
+                return steps, steps, False
             scheduler.refresh()
-            matches = self._select_matches(scheduler)
-            if not matches:
-                return steps, firings, True
+            match = scheduler.find_first(shuffled=shuffled)
+            if match is None:
+                return steps, steps, True
+            # One firing per step; the step opens first, so a production
+            # that raises leaves it empty and the multiset untouched.
             step = begin_step()
-            for match in matches:
-                produced = match.produced()
-                apply_rewrite(match.consumed, produced)
-                record(step, match.reaction.name, match.consumed, produced, match.binding)
-                firings += 1
+            produced = match.produced()
+            apply_rewrite(match.consumed, produced)
+            record(step, match.reaction.name, match.consumed, produced, match.binding)
             steps += 1
-
-    # -- to be provided by subclasses ----------------------------------------------
-    def _select_matches(self, scheduler: ReactionScheduler) -> List[Match]:
-        """The matches to fire this step (empty list = stable state reached)."""
-        raise NotImplementedError
 
 
 class SequentialEngine(GammaEngine):
@@ -351,15 +349,12 @@ class SequentialEngine(GammaEngine):
             )
         return steps, firings, stable
 
-    def _select_matches(self, scheduler: ReactionScheduler) -> List[Match]:
-        match = scheduler.find_first()
-        return [match] if match is not None else []
-
 
 class ChaoticEngine(GammaEngine):
     """Nondeterministic engine: random enabled (reaction, match) pair per step."""
 
     name = "chaotic"
+    shuffled = True
 
     def __init__(
         self,
@@ -377,10 +372,6 @@ class ChaoticEngine(GammaEngine):
         )
         self.seed = seed
         self._rng = random.Random(seed)
-
-    def _select_matches(self, scheduler: ReactionScheduler) -> List[Match]:
-        match = scheduler.find_first(shuffled=True)
-        return [match] if match is not None else []
 
 
 class ParallelEngine(GammaEngine):
@@ -475,10 +466,6 @@ class ParallelEngine(GammaEngine):
                 )
             firings += fire_batch(multiset, batch, validate=not self.compiled)
             steps += 1
-
-    def _select_matches(self, scheduler: ReactionScheduler) -> List[Match]:
-        # The batched drain() above replaces the base loop entirely.
-        raise NotImplementedError("ParallelEngine uses its own superstep loop")
 
 
 _ENGINES = {

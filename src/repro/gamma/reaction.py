@@ -65,6 +65,7 @@ class Branch:
         return [tmpl.instantiate(binding) for tmpl in self.productions]
 
     def variables(self) -> FrozenSet[str]:
+        """Variables the branch's condition and productions read."""
         names: set = set()
         if self.condition is not None:
             names |= self.condition.variables()

@@ -134,10 +134,12 @@ class Trace:
 
     @property
     def num_steps(self) -> int:
+        """Steps opened by :meth:`begin_step`, empty ones included."""
         return self._num_steps
 
     @property
     def num_firings(self) -> int:
+        """Firings recorded, each record weighted by its ``times``."""
         return sum(entry[5] for entry in self._log)
 
     def firings(self) -> List[FiringRecord]:
@@ -160,10 +162,12 @@ class Trace:
         return [width for width in widths if width > 0]
 
     def max_parallelism(self) -> int:
+        """The widest step's firing count (0 for an empty trace)."""
         profile = self.parallelism_profile()
         return max(profile) if profile else 0
 
     def average_parallelism(self) -> float:
+        """Mean firings per non-empty step (0.0 for an empty trace)."""
         profile = self.parallelism_profile()
         if not profile:
             return 0.0

@@ -437,7 +437,7 @@ class VectorizedReaction:
                     ("intern", tmpl.label.value, tmpl.tag.value, _compile_env_expr(tmpl.value))
                 )
             else:
-                prods.append(("call", compiled._branches[0][1][i]))
+                prods.append(("call", compiled._branch_table()[0][1][i]))
         self.productions = tuple(prods)
 
         parts = []

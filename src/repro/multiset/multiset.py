@@ -57,6 +57,18 @@ def compaction_bound(size: int) -> int:
     return COMPACT_SLACK + size // COMPACT_DIVISOR
 
 
+def _first_appearance(keys: Iterable[Any], distinct: int) -> Dict[Any, None]:
+    """The first ``distinct`` distinct ``keys`` in order of first appearance
+    (stops reading ``keys`` as soon as it has them all)."""
+    order: Dict[Any, None] = {}
+    for key in keys:
+        if key not in order:
+            order[key] = None
+            if len(order) == distinct:
+                break
+    return order
+
+
 class Multiset:
     """A counted multiset of :class:`~repro.multiset.element.Element`.
 
@@ -452,14 +464,24 @@ class Multiset:
     def copy(self) -> "Multiset":
         """Deep-enough copy (elements are immutable, so counts are copied).
 
-        The clone's buckets are filled in global insertion order, so their
-        label and tag key orders are those of a from-scratch rebuild, and
-        they carry no holes.
+        Every store is copied a dict at a time, holes dropped.  Element order
+        inside a bucket already is global insertion order, but a live
+        multiset's label and tag *keys* follow its history (a bucket emptied
+        and refilled moves to the back), so the clone keys them in a
+        from-scratch rebuild's order instead: order of first appearance,
+        found by scanning ``_counts`` only until every label has appeared
+        and each label bucket only until every one of its tags has.
         """
         clone = Multiset()
-        put = clone._put
-        for element, count in self._counts.items():
-            put(element, count)
+        clone._counts = dict(self._counts)
+        clone._size = self._size
+        labels = _first_appearance((e.label for e in self._counts), len(self._by_label))
+        for label in labels:
+            bucket = self._by_label[label]
+            clone._by_label[label] = dict(bucket)
+            tagged = self._tags[label]
+            tags = _first_appearance((e.tag for e in bucket), len(tagged))
+            clone._tags[label] = {tag: dict(tagged[tag]) for tag in tags}
         return clone
 
     def __add__(self, other: "Multiset") -> "Multiset":

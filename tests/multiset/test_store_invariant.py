@@ -30,15 +30,25 @@ def assert_one_store(multiset):
     assert multiset._tags == expected_tags
     assert set(multiset._holes) <= set(multiset._by_label)
 
-    # Bucket contents *and* order equal a fresh copy's; only label and tag
+    # Bucket contents *and* order equal a from-scratch rebuild's (the
+    # ``expected_*`` dicts, filled in ``_counts`` order); only label and tag
     # key order may follow the live history instead.
-    clone = multiset.copy()
-    assert list(counts) == list(clone._counts)
     for label, bucket in multiset._by_label.items():
-        assert list(bucket) == list(clone._by_label[label])
+        assert list(bucket) == list(expected_labels[label])
         for tag, tagged in multiset._tags[label].items():
-            assert list(tagged) == list(clone._tags[label][tag])
+            assert list(tagged) == list(expected_tags[label][tag])
         assert multiset._holes.get(label, 0) <= compaction_bound(len(bucket))
+
+    # A copy is that rebuild, key order included, with no holes.
+    clone = multiset.copy()
+    assert list(clone._counts.items()) == list(counts.items())
+    assert list(clone._by_label) == list(expected_labels)
+    for label, bucket in clone._by_label.items():
+        assert list(bucket.items()) == list(expected_labels[label].items())
+        assert list(clone._tags[label]) == list(expected_tags[label])
+        for tag, tagged in clone._tags[label].items():
+            assert list(tagged.items()) == list(expected_tags[label][tag].items())
+    assert clone._holes == {} and len(clone) == len(multiset)
 
     label_counts = multiset.label_counts()
     assert list(label_counts) == list(multiset._by_label)
