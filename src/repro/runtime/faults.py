@@ -20,22 +20,23 @@ This module provides:
   due events at the matching protocol points, and delegates everything else
   untouched.
 
-Faults are injected at the backend's own abstraction level: against the
-multiprocessing backend a kill is a real ``SIGKILL`` to the worker process
-(exercising liveness detection, respawn, and reply-queue draining); against
-the in-process backend it wipes the worker's partition and raises
+Faults are injected through every backend's public fault surface —
+``kill(shard)``, ``delay(shard, seconds)`` and ``drop_connection(shard)``.
+Against a remote backend a kill is a real ``SIGKILL`` to the worker process
+(exercising liveness detection, respawn, and reply draining) and a dropped
+connection closes the shard's channel (a kill on the queue pipe, which
+cannot be severed on its own); against the in-process backend a kill wipes
+the worker's partition and raises
 :class:`~repro.runtime.recovery.WorkerDied` directly (exercising the full
-checkpoint/rollback/replay logic deterministically, without forking).
+checkpoint/rollback/replay logic deterministically, without forking), and
+a dropped connection is the same crash.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
-
-from .recovery import WorkerDied
+from typing import Any, List, Sequence
 
 __all__ = ["FaultEvent", "FaultSchedule", "FaultInjector", "install_faults"]
 
@@ -207,36 +208,12 @@ class FaultInjector:
         backend = self._backend
         shard = event.shard % backend.num_shards
         self.schedule.applied.append(event)
-        if event.kind == DROP_CONNECTION:
-            # Checked before the ``_processes`` branches: the network backend
-            # has worker processes too, but a partition severs only the
-            # transport — the server process survives (briefly), yet the
-            # coordinator must treat the dead connection exactly like a
-            # crash.  Backends without a transport degrade to a kill.
-            if hasattr(backend, "drop_connection"):
-                backend.drop_connection(shard)
-                return
-            event = FaultEvent(KILL, event.shard, event.at)
         if event.kind == DELAY:
-            if hasattr(backend, "_processes"):
-                # The worker sleeps before serving its next command; replies
-                # arrive late but the process stays alive — liveness polling
-                # must not misread this as death.
-                backend._send(shard, "sleep", event.delay)
-            else:
-                time.sleep(event.delay)
-            return
-        if hasattr(backend, "_processes"):
-            # A real crash: SIGKILL the worker process mid-protocol.  The
-            # death surfaces through the liveness-checked reply reads.
-            backend._processes[shard].kill()
-            return
-        # In-process backends have no process to kill; simulate the crash by
-        # discarding the worker's partition (real state loss) and surfacing
-        # the same signal the mp backend's supervision would raise.
-        backend.workers[shard].close()
-        backend.workers[shard] = backend._fresh_worker(shard)
-        raise WorkerDied(shard, "killed by fault injection")
+            backend.delay(shard, event.delay)
+        elif event.kind == DROP_CONNECTION:
+            backend.drop_connection(shard)
+        else:
+            backend.kill(shard)
 
 
 def install_faults(session: Any, schedule: FaultSchedule) -> FaultInjector:

@@ -8,13 +8,13 @@ door for streamed ingestion.
 * :mod:`~repro.runtime.net.frames` — the wire format: length-prefixed,
   pure-stdlib msgpack-style frames with a typed :class:`FrameError`
   hierarchy (no input may hang the decoder or deliver a partial message);
-* :mod:`~repro.runtime.net.server` — the data plane: one shard worker per
-  server process, specialized over the wire by the ``hello`` handshake and
-  serving the exact command set of the multiprocessing backend;
+* :mod:`~repro.runtime.net.server` — the data plane: one
+  :class:`~repro.runtime.sharding.protocol.ShardProtocol` per server
+  process, specialized over the wire by the ``hello`` handshake;
 * :mod:`~repro.runtime.net.backend` — the control plane:
-  :class:`NetworkBackend` plugs into :class:`~repro.runtime.sharding.
-  ShardCoordinator` as ``backend="network"``, with supervision, recovery,
-  elasticity, and wire-byte accounting;
+  :class:`NetworkBackend`, the socket pipe of
+  :class:`~repro.runtime.sharding.remote.RemoteBackend`, behind
+  ``backend="network"``, with wire-byte accounting;
 * :mod:`~repro.runtime.net.gateway` — streamed ingestion:
   :class:`IngestGateway` multiplexes concurrent producer sockets into an
   :class:`~repro.runtime.streaming.IngestQueue` with per-tenant admission

@@ -34,8 +34,9 @@ Safety properties, pinned by ``tests/properties/test_frame_properties.py``:
   :data:`MAX_DEPTH` — are converted to :class:`FrameCorrupt`.
 
 :class:`FrameDecoder` is the incremental (feed-bytes, get-objects) variant
-used by synchronous socket clients; :func:`read_frame` / :func:`write_frame`
-are the asyncio-stream variant used by the shard servers and the backend.
+used by synchronous socket clients (the network backend, the gateway
+client); :func:`read_frame` / :func:`write_frame` are the asyncio-stream
+variant used by the shard servers and the gateway.
 """
 
 from __future__ import annotations
@@ -315,8 +316,8 @@ class FrameDecoder:
     Feed arbitrary chunks; complete frames come out, partial ones stay
     buffered.  An oversized prefix raises :class:`FrameTooLarge` as soon as
     the prefix itself is readable — the decoder never buffers toward a frame
-    it would reject.  Used by :class:`~repro.runtime.net.gateway.GatewayClient`
-    and the socket-level tests.
+    it would reject.  Used by :class:`~repro.runtime.net.backend.NetworkBackend`
+    and :class:`~repro.runtime.net.gateway.GatewayClient`.
     """
 
     def __init__(

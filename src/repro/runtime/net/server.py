@@ -1,46 +1,12 @@
 """Asyncio shard server: one shard's worker behind a framed socket.
 
-The data plane of the network backend.  Each shard server owns a
-:class:`~repro.runtime.sharding.shard.ShardWorker` and serves the *same*
-command protocol the multiprocessing backend speaks over queues
-(:func:`repro.runtime.sharding.mp._shard_worker_main`), transported as
-length-prefixed frames (:mod:`repro.runtime.net.frames`) over a loopback TCP
-connection.
-
-Wire protocol (control plane → shard server, strict request/reply order)::
-
-    ("auth", token_bytes)            -> no reply  spawn-time shared secret;
-                                                 required first when the
-                                                 server was launched with a
-                                                 token — a missing or wrong
-                                                 token closes the connection
-                                                 without a reply
-    ("hello", {shard, num_shards, seed, compiled, reactions})
-        -> ("welcome", {"shard": shard})         membership handshake; the
-                                                 server builds its worker and
-                                                 routing table from this frame
-    ("load"|"ingest", column_batch)  -> ("ok", copies)
-    ("step", (max_supersteps, budget))
-        -> ("report", (shard, fired, supersteps, size, stable, labels))
-                                                 ``stable`` is this shard's
-                                                 quiescence vote and
-                                                 ``labels`` its label
-                                                 histogram ({label: count}
-                                                 when stable, else None),
-                                                 riding the step reply
-                                                 exactly as in the queue
-                                                 protocol
-    ("labels", None)                 -> ("labels", {label: count})
-                                                 elasticity's mid-run read
-    ("extract_labels", [label...])   -> ("batch", column_batch)
-    ("extract_some", limit)          -> ("batch", column_batch)
-    ("snapshot", None)               -> ("batch", column_batch)
-    ("reset", column_batch)          -> ("reset_ok", shard)    checkpoint
-                                                 restore; the distinctive kind
-                                                 lets the client drain stale
-                                                 replies of an aborted round
-    ("sleep", seconds)               -> no reply (fault-injection delay hook)
-    ("stop", None)                   -> ("stopped", shard), then close
+The data plane of the network backend.  Each shard server serves the
+:class:`~repro.runtime.sharding.protocol.ShardProtocol` — the same command
+protocol the multiprocessing backend's workers serve over queues, whose
+wire table lives in :mod:`repro.runtime.sharding.protocol` — transported
+as length-prefixed frames (:mod:`repro.runtime.net.frames`) over a
+loopback TCP connection, after an ``auth`` preamble and a ``hello``
+handshake that carries the shard's construction arguments.
 
 Any exception is reported as ``("error", traceback_text)`` before the
 connection closes, so the control plane fails loudly instead of hanging.  A
@@ -73,27 +39,12 @@ from __future__ import annotations
 import asyncio
 import hmac
 import traceback
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
-from ...multiset.columnar import from_column_batch, to_column_batch
-from ..sharding.routing import RoutingTable
-from ..sharding.shard import ShardWorker
+from ..sharding.protocol import ShardProtocol
 from .frames import ConnectionClosed, FrameError, read_frame, write_frame
 
 __all__ = ["handle_shard_connection", "shard_server_main"]
-
-
-def _build_worker(config: dict) -> Tuple[ShardWorker, RoutingTable]:
-    """Construct the shard worker + routing table a ``hello`` frame describes."""
-    reactions = tuple(config["reactions"])
-    worker = ShardWorker(
-        config["shard"],
-        reactions,
-        seed=config["seed"],
-        compiled=config["compiled"],
-    )
-    routing = RoutingTable(reactions, config["num_shards"])
-    return worker, routing
 
 
 async def handle_shard_connection(
@@ -114,7 +65,7 @@ async def handle_shard_connection(
     the handler silently (the peer already knows).  Returns ``True`` once
     the connection got past authentication.
     """
-    worker = None
+    protocol = None
     try:
         if auth_token is not None:
             try:
@@ -139,64 +90,25 @@ async def handle_shard_connection(
                 writer, ("error", f"expected 'hello' handshake, got {command!r}")
             )
             return True
-        worker, routing = _build_worker(config)
-        shard = worker.shard
-        await write_frame(writer, ("welcome", {"shard": shard}))
+        protocol = ShardProtocol(
+            config["shard"],
+            tuple(config["reactions"]),
+            config["num_shards"],
+            config["seed"],
+            config["compiled"],
+        )
+        await write_frame(writer, ("welcome", {"shard": protocol.shard}))
         while True:
             try:
                 frame, _ = await read_frame(reader, allow_pickle=True)
             except (ConnectionClosed, FrameError, ConnectionError):
                 return True  # control plane dropped us; nothing left to reply to
             command, payload = frame
+            reply = protocol.handle(command, payload)
+            if reply is not None:
+                await write_frame(writer, reply)
             if command == "stop":
-                worker.close()
-                worker = None
-                await write_frame(writer, ("stopped", shard))
                 return True
-            if command == "load" or command == "ingest":
-                copies = worker.ingest(from_column_batch(payload))
-                await write_frame(writer, ("ok", copies))
-            elif command == "step":
-                max_supersteps, budget = payload
-                report = worker.run_local(
-                    max_supersteps=max_supersteps, budget=budget
-                )
-                await write_frame(
-                    writer,
-                    (
-                        "report",
-                        (
-                            report.shard,
-                            report.fired,
-                            report.supersteps,
-                            report.size,
-                            report.stable,
-                            report.labels,
-                        ),
-                    ),
-                )
-            elif command == "labels":
-                await write_frame(writer, ("labels", worker.label_counts()))
-            elif command == "extract_labels":
-                pairs = worker.extract_labels(payload)
-                await write_frame(writer, ("batch", to_column_batch(pairs)))
-            elif command == "extract_some":
-                pairs = worker.extract_some(payload, routing)
-                await write_frame(writer, ("batch", to_column_batch(pairs)))
-            elif command == "snapshot":
-                await write_frame(writer, ("batch", to_column_batch(worker.counts())))
-            elif command == "reset":
-                # Checkpoint restore: rebuild the worker from scratch and
-                # ingest the checkpoint batch, mirroring the queue protocol.
-                worker.close()
-                worker, _ = _build_worker(config)
-                worker.ingest(from_column_batch(payload))
-                await write_frame(writer, ("reset_ok", shard))
-            elif command == "sleep":
-                # Fault-injection hook: delay the *next* reply without dying.
-                await asyncio.sleep(payload)
-            else:
-                raise ValueError(f"unknown shard command {command!r}")
     except BaseException:
         try:
             await write_frame(writer, ("error", traceback.format_exc()))
@@ -204,8 +116,8 @@ async def handle_shard_connection(
             pass
         return True
     finally:
-        if worker is not None:
-            worker.close()
+        if protocol is not None:
+            protocol.close()
         try:
             writer.close()
         except Exception:  # pragma: no cover - transport already torn down

@@ -19,11 +19,12 @@ the compiled scheduling stack:
   the label histograms riding the step replies, termination (optional
   lock-step rounds and work-stealing rebalancing for cost studies);
 * three interchangeable backends — :class:`InProcessBackend` (shards as
-  objects, deterministic traces for differential testing),
-  :class:`MultiprocessingBackend` (shard workers as OS processes exchanging
-  element batches over queues) and
-  :class:`~repro.runtime.net.NetworkBackend` (shard servers behind framed
-  loopback sockets).
+  objects, deterministic traces for differential testing) and two pipes of
+  one :class:`~repro.runtime.sharding.remote.RemoteBackend`, which speaks
+  the :mod:`~repro.runtime.sharding.protocol` command protocol:
+  :class:`MultiprocessingBackend` (shard workers as OS processes fed over
+  queues) and :class:`~repro.runtime.net.NetworkBackend` (shard servers
+  behind framed loopback sockets).
 
 Fault tolerance: attach a :class:`~repro.runtime.recovery.RecoveryManager`
 (``ShardCoordinator(..., recovery=...)``) and worker death becomes a

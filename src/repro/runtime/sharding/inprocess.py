@@ -11,12 +11,14 @@ backends make identical scheduling decisions for the same seed.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...gamma.reaction import Reaction
 from ...multiset.columnar import from_column_batch, to_column_batch
 from ...multiset.element import Element
 from ...multiset.multiset import Multiset
+from ..recovery import WorkerDied
 from .quiescence import QuiescenceDetector
 from .routing import RoutingTable, Transfer
 from .shard import LocalReport, ShardWorker
@@ -146,10 +148,7 @@ class InProcessBackend:
 
     def collect_final(self) -> Multiset:
         """Union of every shard's partition (the run's final multiset)."""
-        final = Multiset()
-        for worker in self.workers:
-            final.add_counts(worker.counts())
-        return final
+        return self.snapshot_all()
 
     def sizes(self) -> List[int]:
         """Current partition sizes (element copies per shard)."""
@@ -195,6 +194,25 @@ class InProcessBackend:
             self.workers[shard] = self._fresh_worker(shard)
             self.workers[shard].ingest(from_column_batch(batch))
         return []
+
+    # -- fault injection -----------------------------------------------------------
+    def kill(self, shard: int) -> None:
+        """Simulate a crash of ``shard``: wipe its partition, raise :class:`WorkerDied`.
+
+        There is no process to kill, so the worker's state is discarded
+        (real state loss) and the signal a remote backend's supervision
+        would raise surfaces directly.
+        """
+        self.workers[shard].close()
+        self.workers[shard] = self._fresh_worker(shard)
+        raise WorkerDied(shard, "killed by fault injection")
+
+    #: There is no transport to sever: a dropped connection is a crash.
+    drop_connection = kill
+
+    def delay(self, shard: int, seconds: float) -> None:
+        """Stall the calling round for ``seconds`` (a slow, live shard)."""
+        time.sleep(seconds)
 
     def stop(self) -> None:
         """Detach every worker's scheduler (idempotent)."""

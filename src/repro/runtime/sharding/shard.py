@@ -13,16 +13,16 @@ are ordinary multiset mutations: the scheduler's index views the multiset's
 own buckets, and the change notifications keep the parked-reaction worklist
 fresh across transfers without rebuilds.
 
-The same class backs both backends: the in-process backend holds the workers
-directly; the multiprocessing backend runs one per OS process behind a small
-pickled-tuple command protocol (:mod:`repro.runtime.sharding.mp`).
+The same class backs every backend: the in-process backend holds the workers
+directly; the remote backends run one per process behind the command
+protocol of :mod:`repro.runtime.sharding.protocol`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...gamma.matching import fire_batch
 from ...gamma.reaction import Reaction
@@ -32,12 +32,6 @@ from ...multiset.multiset import Multiset
 from .routing import RoutingTable
 
 __all__ = ["LocalReport", "ShardWorker"]
-
-#: Wire form of one element with multiplicity: ``(value, label, tag, count)``.
-#: Plain tuples (not Element instances) cross process boundaries, keeping the
-#: queue protocol picklable on every supported interpreter.
-ElementQuad = Tuple[Any, str, int, int]
-
 
 @dataclass(frozen=True)
 class LocalReport:
@@ -200,17 +194,3 @@ class ShardWorker:
     def counts(self) -> List[Tuple[Element, int]]:
         """Snapshot of the partition as ``(element, count)`` pairs."""
         return list(self.multiset.counts().items())
-
-    # -- wire helpers (shared by the multiprocessing protocol) ---------------------
-    @staticmethod
-    def to_quads(pairs: Sequence[Tuple[Element, int]]) -> List[ElementQuad]:
-        """Encode ``(element, count)`` pairs as picklable wire quads."""
-        return [(e.value, e.label, e.tag, count) for e, count in pairs]
-
-    @staticmethod
-    def from_quads(quads: Sequence[ElementQuad]) -> List[Tuple[Element, int]]:
-        """Decode wire quads back into ``(element, count)`` pairs."""
-        return [
-            (Element(value=value, label=label, tag=tag), count)
-            for value, label, tag, count in quads
-        ]

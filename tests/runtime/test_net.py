@@ -43,11 +43,11 @@ from repro.multiset.columnar import from_column_batch, to_column_batch
 from repro.runtime import ElasticityPolicy, FaultEvent, FaultSchedule, install_faults
 from repro.runtime.faults import DELAY, DROP_CONNECTION, KILL
 from repro.runtime.net import GatewayClient, IngestGateway, NetworkBackend, handle_shard_connection
-from repro.runtime.net.backend import _reply_timeout
 from repro.runtime.net.frames import ConnectionClosed, read_frame, write_frame
 from repro.runtime.net.server import serve_one_connection
 from repro.runtime.recovery import RecoveryManager, WorkerDied
 from repro.runtime.sharding import RoutingTable, ShardCoordinator
+from repro.runtime.sharding.remote import _reply_timeout
 from repro.runtime.streaming import IngestQueue, StreamingGammaRuntime
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
@@ -478,12 +478,11 @@ class TestNetworkBackend:
         monkeypatch.delenv("REPRO_NET_TIMEOUT")
         assert _reply_timeout() == 300.0
 
-    def test_respawn_never_forks_the_threaded_backend(self):
-        """REVIEW: respawn launches servers while the loop thread is live.
-
-        The backend must therefore use a thread-safe start method (fork of a
-        multi-threaded parent is deprecated and deadlock-prone) — and a
-        respawn under the running loop must produce a working server.
+    def test_respawn_never_forks(self):
+        """Respawn may launch servers while other threads run in the parent
+        (the ingestion gateway's loop), so the backend uses a thread-safe
+        start method (fork of a multi-threaded parent is deprecated and
+        deadlock-prone) — and a respawned server answers the protocol.
         """
         program = sum_reduction()
         reactions = list(program.reactions)
@@ -491,7 +490,7 @@ class TestNetworkBackend:
         try:
             assert backend._context.get_start_method() in ("forkserver", "spawn")
             backend.load(partition_counts(values_multiset([1, 2]), 1))
-            backend.respawn([0])  # loop + executor threads are running now
+            backend.respawn([0])
             assert backend.dead_shards() == []
             report = backend.superstep_all()[0]
             assert report.stable  # fresh (empty) worker answers the protocol
@@ -598,9 +597,9 @@ class TestGatewayAdmissionControl:
 
     def test_every_client_side_socket_disables_nagle(self):
         # Frames are tiny request/reply pairs; a socket left on Nagle can hold
-        # one back for a delayed ACK.  asyncio's stream transports set
-        # TCP_NODELAY themselves (checked on a backend -> shard link); the
-        # gateway client's blocking socket has to do it by hand.
+        # one back for a delayed ACK.  Blocking sockets default to Nagle, so
+        # the gateway client and the backend's shard links set TCP_NODELAY
+        # by hand.
         def nodelay(sock):
             return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
@@ -615,7 +614,7 @@ class TestGatewayAdmissionControl:
         backend = NetworkBackend(reactions, 1, RoutingTable(reactions, 1), seed=1)
         try:
             backend.load(partition_counts(values_multiset([1, 2]), 1))
-            assert nodelay(backend._writers[0].get_extra_info("socket"))
+            assert nodelay(backend._channels[0][0])
         finally:
             backend.stop()
 

@@ -1,12 +1,13 @@
 """Tests for the fault-tolerance layer: checkpoints, WAL, rollback recovery."""
 
+import multiprocessing
 import pickle
 
 import pytest
 
 from repro.gamma import run
 from repro.gamma.stdlib import sum_reduction, values_multiset
-from repro.multiset import Element
+from repro.multiset import Element, partition_counts
 from repro.multiset import columnar as columnar_module
 from repro.multiset.columnar import from_column_batch, to_column_batch
 from repro.runtime import StreamingGammaRuntime
@@ -21,7 +22,7 @@ from repro.runtime.recovery import (
     RecoveryManager,
     WorkerDied,
 )
-from repro.runtime.sharding import QuiescenceDetector, ShardCoordinator
+from repro.runtime.sharding import QuiescenceDetector, RoutingTable, ShardCoordinator
 from repro.api import RuntimeConfig
 
 
@@ -401,3 +402,70 @@ class TestStreamingRecoveryInProcess:
             StreamingGammaRuntime(sum_reduction(), config=RuntimeConfig(backend="sequential", recovery=RecoveryManager()))
         with pytest.raises(ValueError, match="checkpoint_interval"):
             StreamingGammaRuntime(sum_reduction(), config=RuntimeConfig(backend="inprocess", recovery=RecoveryManager(), checkpoint_interval=0))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
+@pytest.mark.parametrize("backend_name", ["multiprocessing", "network"])
+class TestResetDrainOnRemoteBackends:
+    """A shard lost while ``recover`` or ``resize`` drains the ``reset_ok``
+    acknowledgements must not leave a later shard's acknowledgement behind
+    for the next round to misread as its reply."""
+
+    @staticmethod
+    def _loaded_backend(name):
+        from repro.runtime.net.backend import NetworkBackend
+        from repro.runtime.sharding.mp import MultiprocessingBackend
+
+        backend_class = {
+            "multiprocessing": MultiprocessingBackend,
+            "network": NetworkBackend,
+        }[name]
+        reactions = list(sum_reduction().reactions)
+        backend = backend_class(reactions, 3, RoutingTable(reactions, 3), seed=1)
+        backend.supervised = True
+        partitions = partition_counts(values_multiset(range(1, 13)), 3)
+        backend.load(partitions)
+        return backend, partitions
+
+    @staticmethod
+    def _kill_when_draining(backend, monkeypatch, victim=1):
+        """Kill ``victim`` the first time a drain waits for its ``reset_ok``."""
+        read = backend._next_reply
+        armed = [True]
+
+        def next_reply(shard, expected):
+            if armed[0] and shard == victim and expected == "reset_ok":
+                armed[0] = False
+                process = backend._processes[victim]
+                process.kill()
+                process.join(timeout=10)
+                raise WorkerDied(victim, "killed while its reset_ok was drained")
+            return read(shard, expected)
+
+        monkeypatch.setattr(backend, "_next_reply", next_reply)
+
+    def test_death_while_recover_drains(self, backend_name, monkeypatch):
+        backend, partitions = self._loaded_backend(backend_name)
+        batches = [to_column_batch(part) for part in partitions]
+        try:
+            self._kill_when_draining(backend, monkeypatch)
+            with pytest.raises(WorkerDied):
+                backend.recover(batches)
+            backend.recover(batches)
+            assert [report.shard for report in backend.superstep_all()] == [0, 1, 2]
+        finally:
+            backend.stop()
+
+    def test_death_while_resize_drains(self, backend_name, monkeypatch):
+        backend, partitions = self._loaded_backend(backend_name)
+        try:
+            self._kill_when_draining(backend, monkeypatch)
+            with pytest.raises(WorkerDied):
+                backend.resize(3, partitions)
+            backend.resize(3, partitions)
+            assert [report.shard for report in backend.superstep_all()] == [0, 1, 2]
+        finally:
+            backend.stop()

@@ -295,10 +295,6 @@ class TestShardWorker:
         assert worker.extract_some(10, routing) == []
         worker.close()
 
-    def test_quad_wire_roundtrip(self):
-        pairs = [(Element(1, "a", 2), 3), (Element("s", "b", 0), 1)]
-        assert ShardWorker.from_quads(ShardWorker.to_quads(pairs)) == pairs
-
 
 class TestShardCoordinator:
     @pytest.mark.parametrize("shards", [1, 2, 4])
@@ -608,23 +604,35 @@ class TestSameRoundVerdict:
         "program, values",
         [(sum_reduction, range(1, 41)), (prime_sieve, range(2, 60))],
     )
-    def test_backends_decide_identically_under_defaults(self, program, values):
+    @pytest.mark.parametrize(
+        "options",
+        # The low threshold makes sum_reduction steal too, so the stealing
+        # row moves batches through extract_some on every pipe.
+        [{}, {"work_stealing": True, "round_supersteps": 1, "steal_threshold": 1.0}],
+        ids=["defaults", "stealing"],
+    )
+    def test_backends_decide_identically_under_defaults(
+        self, program, values, options
+    ):
         program = program()
         initial = values_multiset(values)
 
         def decisions(backend):
-            result = ShardCoordinator(program, 3, backend=backend, seed=7).run(
-                initial.copy()
-            )
+            result = ShardCoordinator(
+                program, 3, backend=backend, seed=7, **options
+            ).run(initial.copy())
             return (
                 result.final,
                 result.rounds,
                 result.firings,
                 result.migrations,
+                result.steals,
                 result.per_partition_firings,
             )
 
         local = decisions("inprocess")
+        if options:
+            assert local[4] > 0  # the row must actually steal
         assert decisions("multiprocessing") == local
         assert decisions("network") == local
 
@@ -708,13 +716,11 @@ class TestMultiprocessingBackendFailurePaths:
         backend.stop()
 
     def test_unresponsive_live_worker_still_times_out(self, monkeypatch):
-        from repro.runtime.sharding import mp as mp_module
-
+        monkeypatch.setenv("REPRO_NET_TIMEOUT", "0.3")
         backend = self._make_backend()
-        monkeypatch.setattr(mp_module, "_REPLY_TIMEOUT", 0.3)
         # The worker sleeps past the (shrunken) reply timeout but stays
         # alive: polling must report *unresponsive*, not death.
-        backend._send(0, "sleep", 2.0)
+        backend.delay(0, 2.0)
         with pytest.raises(RuntimeError, match="unresponsive.*alive"):
             backend.superstep_all()
         backend.stop()
@@ -724,7 +730,7 @@ class TestMultiprocessingBackendFailurePaths:
         try:
             # A reply slower than many liveness polls (but within the reply
             # timeout) arrives normally — slow is not dead.
-            backend._send(0, "sleep", 0.5)
+            backend.delay(0, 0.5)
             reports = backend.superstep_all()
             assert len(reports) == 2
         finally:
