@@ -148,7 +148,15 @@ class ReactionScheduler:
         self._det_order: List[int] = list(range(len(self.reactions)))
         self._parked: Set[int] = set()
         self._dirty: Set[str] = set()
-        self._listener = multiset.subscribe(self._note_change)
+        # The listener closes over the dirty set's ``add``, not over ``self``:
+        # a bound method stored on the scheduler would make every run a
+        # reference cycle that only the cyclic collector can free.
+        note_dirty = self._dirty.add
+
+        def note_change(element: Element, delta: int) -> None:
+            note_dirty(element.label)
+
+        self._listener = multiset.subscribe(note_change)
         self._attached = True
 
     # -- lifecycle ----------------------------------------------------------------
@@ -160,9 +168,6 @@ class ReactionScheduler:
             if self.columnar_store is not None:
                 self.columnar_store.detach()
             self._attached = False
-
-    def _note_change(self, element: Element, delta: int) -> None:
-        self._dirty.add(element.label)
 
     # -- worklist maintenance --------------------------------------------------------
     def refresh(self) -> None:

@@ -20,12 +20,6 @@ from ..multiset.element import Element
 
 __all__ = ["FiringRecord", "StepRecord", "Trace"]
 
-#: One logged firing: ``(step, reaction, consumed, produced, binding, times)``.
-_LogEntry = Tuple[
-    int, str, Tuple[Element, ...], Tuple[Element, ...], Optional[Dict[str, Any]], int
-]
-
-
 @dataclass(frozen=True)
 class FiringRecord:
     """One reaction firing: consumed elements, produced elements, binding.
@@ -71,24 +65,35 @@ class StepRecord:
 class Trace:
     """A whole-run trace.
 
-    Recording is a flat log: :meth:`begin_step` bumps a counter and
-    :meth:`record` appends one ``(step, reaction, consumed, produced, binding,
-    times)`` tuple, so the firing loops build no record objects.  The
+    Recording is columnar: :meth:`begin_step` bumps a counter and
+    :meth:`record` appends the firing's step, reaction name, binding and
+    multiplicity to one list per field, and its consumed then produced
+    elements to one element list shared by all firings (two offset columns
+    mark where each firing's elements end).  A recorded firing therefore
+    adds list slots only, no object of its own for the cyclic garbage
+    collector to traverse.  The
     :class:`StepRecord` / :class:`FiringRecord` views (:attr:`steps`,
     :meth:`firings`) are materialized when first read and extended by later
     reads, with the field values and order an eager build would have had —
     including empty steps, such as the one a raising production leaves
     behind.  The aggregates (:attr:`num_firings`, :meth:`parallelism_profile`,
-    :meth:`firing_counts`) read the log directly.  The log holds the
+    :meth:`firing_counts`) read the columns directly.  The log holds the
     caller's ``binding`` dict, which must not be mutated after recording;
     each materialized record gets its own copy.
     """
 
     def __init__(self) -> None:
         self._num_steps = 0
-        self._log: List[_LogEntry] = []
+        # One entry per recorded firing in each column.
+        self._step_of: List[int] = []
+        self._reaction_of: List[str] = []
+        self._binding_of: List[Optional[Dict[str, Any]]] = []
+        self._times_of: List[int] = []
+        self._consumed_end: List[int] = []  # offset in ``_elements``
+        self._produced_end: List[int] = []  # offset in ``_elements``
+        self._elements: List[Element] = []
         self._steps: List[StepRecord] = []
-        self._materialized = 0  # log entries already in ``_steps``
+        self._materialized = 0  # firings already in ``_steps``
 
     # -- recording ------------------------------------------------------------
     def begin_step(self) -> int:
@@ -107,29 +112,42 @@ class Trace:
         times: int = 1,
     ) -> None:
         """Append one firing (of multiplicity ``times``) to step ``step``."""
-        self._log.append((step, reaction, tuple(consumed), tuple(produced), binding, times))
+        elements = self._elements
+        elements.extend(consumed)
+        self._consumed_end.append(len(elements))
+        elements.extend(produced)
+        self._produced_end.append(len(elements))
+        self._step_of.append(step)
+        self._reaction_of.append(reaction)
+        self._binding_of.append(binding)
+        self._times_of.append(times)
 
     # -- queries ------------------------------------------------------------------
     @property
     def steps(self) -> List[StepRecord]:
-        """Per-step records, built from the log on read."""
+        """Per-step records, built from the columns on read."""
         steps = self._steps
         while len(steps) < self._num_steps:
             steps.append(StepRecord(step=len(steps)))
-        log = self._log
-        for index in range(self._materialized, len(log)):
-            step, reaction, consumed, produced, binding, times = log[index]
+        elements = self._elements
+        produced_end = self._produced_end
+        start = produced_end[self._materialized - 1] if self._materialized else 0
+        for index in range(self._materialized, len(produced_end)):
+            step = self._step_of[index]
+            mid = self._consumed_end[index]
+            end = produced_end[index]
             steps[step].firings.append(
                 FiringRecord(
                     step=step,
-                    reaction=reaction,
-                    consumed=consumed,
-                    produced=produced,
-                    binding=dict(binding or {}),
-                    times=times,
+                    reaction=self._reaction_of[index],
+                    consumed=tuple(elements[start:mid]),
+                    produced=tuple(elements[mid:end]),
+                    binding=dict(self._binding_of[index] or {}),
+                    times=self._times_of[index],
                 )
             )
-        self._materialized = len(log)
+            start = end
+        self._materialized = len(produced_end)
         return steps
 
     @property
@@ -140,7 +158,7 @@ class Trace:
     @property
     def num_firings(self) -> int:
         """Firings recorded, each record weighted by its ``times``."""
-        return sum(entry[5] for entry in self._log)
+        return sum(self._times_of)
 
     def firings(self) -> List[FiringRecord]:
         """All firing records in order (one per distinct firing decision;
@@ -157,8 +175,8 @@ class Trace:
     def parallelism_profile(self) -> List[int]:
         """Reactions fired per step (the Gamma-side parallelism profile)."""
         widths = [0] * self._num_steps
-        for entry in self._log:
-            widths[entry[0]] += entry[5]
+        for step, times in zip(self._step_of, self._times_of):
+            widths[step] += times
         return [width for width in widths if width > 0]
 
     def max_parallelism(self) -> int:
@@ -176,8 +194,8 @@ class Trace:
     def firing_counts(self) -> Dict[str, int]:
         """Reaction name -> number of firings."""
         counts: Dict[str, int] = {}
-        for entry in self._log:
-            counts[entry[1]] = counts.get(entry[1], 0) + entry[5]
+        for reaction, times in zip(self._reaction_of, self._times_of):
+            counts[reaction] = counts.get(reaction, 0) + times
         return counts
 
     def reuse_statistics(self) -> Dict[str, int]:

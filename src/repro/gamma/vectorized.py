@@ -271,7 +271,6 @@ class VectorizedReaction:
     """
 
     __slots__ = (
-        "compiled",
         "reaction",
         "arity",
         "labels",
@@ -299,7 +298,8 @@ class VectorizedReaction:
             raise _Unsupported("only unary/binary reactions are vectorized")
         if reaction.branches[0].condition is not None:
             raise _Unsupported("conditional by-branches stay on the object path")
-        self.compiled = compiled
+        # No back-reference to ``compiled``: the compiled reaction caches
+        # this object, so holding it would make a cycle.
         self.reaction = reaction
         self.arity = reaction.arity
 

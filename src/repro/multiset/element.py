@@ -26,7 +26,7 @@ from typing import Any, Iterable, Tuple
 __all__ = ["Element", "make_elements"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Element:
     """A single multiset element ``[value, label, tag]``.
 
@@ -55,17 +55,26 @@ class Element:
     _hash: int = field(init=False, repr=False, compare=False, default=0)
     _stable: Any = field(init=False, repr=False, compare=False, default=None)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.label, str):
-            raise TypeError(f"label must be a string, got {type(self.label).__name__}")
-        if not isinstance(self.tag, int) or isinstance(self.tag, bool):
-            raise TypeError(f"tag must be an int, got {type(self.tag).__name__}")
-        if self.tag < 0:
-            raise ValueError(f"tag must be non-negative, got {self.tag}")
+    def __init__(self, value: Any, label: str = "", tag: int = 0) -> None:
+        # Hand-written rather than generated: the engines build an element
+        # per produced operand, and the generated frozen ``__init__`` plus a
+        # ``__post_init__`` took two to three times as long.  Each slot is
+        # stored through its member descriptor (``_set_*`` below), which the
+        # frozen class's ``__setattr__`` does not intercept.
+        if not isinstance(label, str):
+            raise TypeError(f"label must be a string, got {type(label).__name__}")
+        if not isinstance(tag, int) or isinstance(tag, bool):
+            raise TypeError(f"tag must be an int, got {type(tag).__name__}")
+        if tag < 0:
+            raise ValueError(f"tag must be non-negative, got {tag}")
         try:
-            object.__setattr__(self, "_hash", hash((self.value, self.label, self.tag)))
-        except TypeError as exc:  # pragma: no cover - defensive
-            raise TypeError(f"element value must be hashable, got {self.value!r}") from exc
+            _set_hash(self, hash((value, label, tag)))
+        except TypeError as exc:
+            raise TypeError(f"element value must be hashable, got {value!r}") from exc
+        _set_value(self, value)
+        _set_label(self, label)
+        _set_tag(self, tag)
+        _set_stable(self, None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -114,7 +123,7 @@ class Element:
         never go stale): the sharded runtime hashes the same element on every
         partition/routing lookup, and recomputing blake2b per call was
         measurable on the exchange paths.  Caching is lazy rather than done
-        in ``__post_init__`` because the single-process engines construct
+        in ``__init__`` because the single-process engines construct
         millions of elements that are never routed.
         """
         cached = self._stable
@@ -129,7 +138,7 @@ class Element:
             repr((value, self.label, self.tag)).encode("utf-8"), digest_size=8
         ).digest()
         result = int.from_bytes(digest, "big")
-        object.__setattr__(self, "_stable", result)
+        _set_stable(self, result)
         return result
 
     def with_value(self, value: Any) -> "Element":
@@ -150,6 +159,13 @@ class Element:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.value!r}, {self.label!r}, {self.tag}]"
+
+
+_set_value = Element.value.__set__
+_set_label = Element.label.__set__
+_set_tag = Element.tag.__set__
+_set_hash = Element._hash.__set__
+_set_stable = Element._stable.__set__
 
 
 def make_elements(items: Iterable) -> list:

@@ -3,10 +3,12 @@
 Covers the worklist mechanics (parking dead reactions, dirty-label wakeups,
 guard-restricted label domains), the lifecycle (detach unhooks the
 listeners), the ``run()`` argument-conflict guard, the
-``raise_on_budget=False`` partial-result mode, and the exact element-hash
-counts of the firing and attach paths.
+``raise_on_budget=False`` partial-result mode, the exact element-hash
+counts of the firing and attach paths, and that a finished run is freed by
+reference counting alone.
 """
 
+import gc
 import random
 from unittest import mock
 
@@ -327,3 +329,44 @@ class TestElementHashGates:
         assert calls[0] == 0
         assert len(scheduler.index) == 100_000
         scheduler.detach()
+
+
+def _distributed_run(initial):
+    from repro.runtime.distributed import DistributedGammaRuntime
+
+    config = RuntimeConfig(backend="inprocess", shards=4)
+    return DistributedGammaRuntime(min_element(), config=config).run(initial)
+
+
+GARBAGE_ROWS = {
+    f"{engine}-{'columnar' if columnar else 'object'}": (
+        lambda initial, engine=engine, columnar=columnar: run(
+            min_element(),
+            initial,
+            config=RuntimeConfig(
+                engine=engine, seed=None if engine == "sequential" else 3, columnar=columnar
+            ),
+        )
+    )
+    for engine in ("sequential", "chaotic", "parallel")
+    for columnar in (False, True)
+}
+GARBAGE_ROWS["distributed-inprocess-4"] = _distributed_run
+
+
+@pytest.mark.parametrize("row", sorted(GARBAGE_ROWS))
+def test_finished_run_leaves_no_cyclic_garbage(row):
+    """No run leaves a reference cycle: the scheduler's listener closes over
+    the dirty set rather than the scheduler, and a compiled reaction's mask
+    program does not point back at it.  The first run fills the process-wide
+    caches (generated code, lazy imports); the second must free everything it
+    built by reference counting, so the cyclic collector finds nothing."""
+    execute = GARBAGE_ROWS[row]
+    execute(values_multiset(range(200, 0, -1)))
+    gc.collect()
+    gc.disable()
+    try:
+        execute(values_multiset(range(200, 0, -1)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
