@@ -14,20 +14,23 @@ The Gamma translation of a dynamic dataflow graph represents every operand
 
 Elements are immutable so that they can live in dictionaries, sets and counted
 multisets without surprises, and so that the matching engine can hand them to
-reaction actions without defensive copies.
+reaction actions without defensive copies.  An :class:`Element` is a ``tuple``
+subclass holding just the triple, so element-keyed dict operations hash in C.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from _collections import _tuplegetter
 from typing import Any, Iterable, Tuple
 
 __all__ = ["Element", "make_elements"]
 
+_tuple_new = tuple.__new__
+_tuple_eq = tuple.__eq__
 
-@dataclass(frozen=True, slots=True, init=False)
-class Element:
+
+class Element(tuple):
     """A single multiset element ``[value, label, tag]``.
 
     Parameters
@@ -43,24 +46,20 @@ class Element:
     tag:
         Dynamic dataflow iteration tag.  Non-negative integer.
 
-    Elements spend their lives as keys of the multiset's counters and of the
-    label/tag index buckets, so the triple hash is computed once at
-    construction and cached; re-deriving it on every dictionary operation
-    dominated the engines' rewrite cost.
+    ``hash(element)`` is ``hash((value, label, tag))``, never stored, so a
+    pickled element is rehashed under its loader's ``PYTHONHASHSEED``.
+    Elements equal elements field by field, never a plain tuple, and
+    ordering them raises ``TypeError``.
     """
 
-    value: Any
-    label: str = ""
-    tag: int = 0
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
-    _stable: Any = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ()
+    __match_args__ = ("value", "label", "tag")
 
-    def __init__(self, value: Any, label: str = "", tag: int = 0) -> None:
-        # Hand-written rather than generated: the engines build an element
-        # per produced operand, and the generated frozen ``__init__`` plus a
-        # ``__post_init__`` took two to three times as long.  Each slot is
-        # stored through its member descriptor (``_set_*`` below), which the
-        # frozen class's ``__setattr__`` does not intercept.
+    value = _tuplegetter(0, "The payload.")
+    label = _tuplegetter(1, "The dataflow edge label.")
+    tag = _tuplegetter(2, "The dynamic dataflow iteration tag.")
+
+    def __new__(cls, value: Any, label: str = "", tag: int = 0) -> "Element":
         if not isinstance(label, str):
             raise TypeError(f"label must be a string, got {type(label).__name__}")
         if not isinstance(tag, int) or isinstance(tag, bool):
@@ -68,16 +67,29 @@ class Element:
         if tag < 0:
             raise ValueError(f"tag must be non-negative, got {tag}")
         try:
-            _set_hash(self, hash((value, label, tag)))
+            hash(value)
         except TypeError as exc:
             raise TypeError(f"element value must be hashable, got {value!r}") from exc
-        _set_value(self, value)
-        _set_label(self, label)
-        _set_tag(self, tag)
-        _set_stable(self, None)
+        return _tuple_new(cls, (value, label, tag))
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Element):
+            return _tuple_eq(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of ``__eq__``, not ``tuple.__ne__``
+
+    def __lt__(self, other: object) -> bool:
+        # Raising, as ``NotImplemented`` would fall back to tuple ordering.
+        raise TypeError("multiset elements are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __reduce__(self) -> Tuple[type, Tuple[Any, str, int]]:
+        # The triple only: the loader rebuilds (and rehashes) the element.
+        return (type(self), tuple(self))
 
     # -- convenience constructors -------------------------------------------------
     @classmethod
@@ -87,8 +99,8 @@ class Element:
 
     @classmethod
     def from_tuple(cls, data: Tuple) -> "Element":
-        """Build an element from a 1-, 2- or 3-tuple ``(value[, label[, tag]])``."""
-        if not isinstance(data, tuple):
+        """Build an element from a plain 1-, 2- or 3-tuple ``(value[, label[, tag]])``."""
+        if not isinstance(data, tuple) or isinstance(data, Element):
             raise TypeError(f"expected a tuple, got {type(data).__name__}")
         if len(data) == 1:
             return cls(value=data[0])
@@ -101,7 +113,7 @@ class Element:
     # -- projections ---------------------------------------------------------------
     def as_tuple(self) -> Tuple[Any, str, int]:
         """Return the canonical ``(value, label, tag)`` triple."""
-        return (self.value, self.label, self.tag)
+        return tuple(self)
 
     def stable_hash(self) -> int:
         """A process-independent 64-bit hash of the canonical triple.
@@ -119,16 +131,9 @@ class Element:
         and values with unstable ``repr`` (e.g. sets) are not canonicalized —
         they get a consistent placement per representation, never an error.
 
-        The digest is cached on first use (elements are immutable, so it can
-        never go stale): the sharded runtime hashes the same element on every
-        partition/routing lookup, and recomputing blake2b per call was
-        measurable on the exchange paths.  Caching is lazy rather than done
-        in ``__init__`` because the single-process engines construct
-        millions of elements that are never routed.
+        The digest is computed on each call and not cached: partitioning
+        asks once per element, and the elements it partitions are fresh.
         """
-        cached = self._stable
-        if cached is not None:
-            return cached
         value = self.value
         if isinstance(value, bool):
             value = int(value)
@@ -137,9 +142,7 @@ class Element:
         digest = hashlib.blake2b(
             repr((value, self.label, self.tag)).encode("utf-8"), digest_size=8
         ).digest()
-        result = int.from_bytes(digest, "big")
-        _set_stable(self, result)
-        return result
+        return int.from_bytes(digest, "big")
 
     def with_value(self, value: Any) -> "Element":
         """Copy of this element with a different value."""
@@ -159,13 +162,6 @@ class Element:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.value!r}, {self.label!r}, {self.tag}]"
-
-
-_set_value = Element.value.__set__
-_set_label = Element.label.__set__
-_set_tag = Element.tag.__set__
-_set_hash = Element._hash.__set__
-_set_stable = Element._stable.__set__
 
 
 def make_elements(items: Iterable) -> list:

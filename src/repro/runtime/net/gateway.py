@@ -76,15 +76,16 @@ def _coerce_pairs(elements: Iterable[Any]) -> List[Tuple[Element, int]]:
         elements = [elements]
     pairs: List[Tuple[Element, int]] = []
     for entry in elements:
-        if (
+        # An Element is itself a tuple: it must be told apart first.
+        if isinstance(entry, Element):
+            pairs.append((entry, 1))
+        elif (
             isinstance(entry, tuple)
             and len(entry) == 2
             and isinstance(entry[0], Element)
             and isinstance(entry[1], int)
         ):
             pairs.append(entry)
-        elif isinstance(entry, Element):
-            pairs.append((entry, 1))
         elif isinstance(entry, tuple):
             pairs.append((Element.from_tuple(entry), 1))
         else:

@@ -750,9 +750,9 @@ class StreamingGammaRuntime:
                 self.pump()  # epoch 0: stabilize the initial multiset alone
                 for batch in schedule:
                     for entry in batch:
-                        if isinstance(entry, tuple) and len(entry) == 2 and isinstance(
-                            entry[1], int
-                        ) and isinstance(entry[0], Element):
+                        if not isinstance(entry, Element) and isinstance(entry, tuple) and (
+                            len(entry) == 2 and isinstance(entry[0], Element)
+                        ) and isinstance(entry[1], int):
                             self.queue.offer(entry[0], entry[1])
                         else:
                             self.queue.offer(entry)

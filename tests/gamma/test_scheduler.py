@@ -10,6 +10,7 @@ reference counting alone.
 
 import gc
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -289,22 +290,46 @@ class TestBudgetModes:
 
 
 class TestElementHashGates:
-    """Exact ``Element.__hash__`` call counts on the firing and attach paths.
+    """Exact element-keyed dict operation counts on the firing and attach
+    paths, and no Python-level element hashing or comparison on either.
 
-    ``Element.__hash__`` is a Python-level method returning a cached int, so
-    every dict operation keyed by an element costs a Python frame.  The
-    multiset is the one store of counts and the scheduler's index only views
-    it; a second, listener-maintained copy of the buckets shows up here as
-    extra calls however fast the machine is.
+    ``Element`` hashes in C (``tuple.__hash__``).  The counting helper swaps
+    in a Python ``__hash__`` that delegates to it, so each dict operation
+    keyed by an element shows up as one call: the multiset is the one store
+    of counts and the scheduler's index only views it, and a second,
+    listener-maintained copy of the buckets shows up here as extra calls
+    however fast the machine is.
     """
 
     @staticmethod
     def _counting_hash(calls):
         def counting(element):
             calls[0] += 1
-            return element._hash
+            return tuple.__hash__(element)
 
         return mock.patch.object(Element, "__hash__", counting)
+
+    @staticmethod
+    def _python_dunder_frames(execute):
+        """Run ``execute()`` and count the Python frames it opens for
+        ``Element``'s ``__hash__``, ``__eq__`` and ``__ne__``."""
+        codes = {
+            getattr(Element, name).__code__
+            for name in ("__hash__", "__eq__", "__ne__")
+            if hasattr(getattr(Element, name), "__code__")
+        }
+        frames = [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                frames[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = execute()
+        finally:
+            sys.setprofile(None)
+        return frames[0], result
 
     def test_sequential_min_element_firing_hashes(self):
         values = list(range(2000))
@@ -317,9 +342,22 @@ class TestElementHashGates:
         firings = result.trace.num_firings
         assert firings == 1999
         # Each removal or insertion is four element-keyed dict operations on
-        # the one store: 17 calls per firing, against 37 when the index kept
-        # its own listener-maintained copy of the buckets.
+        # the one store: 17 per firing, against 37 when the index kept its
+        # own listener-maintained copy of the buckets.
         assert calls[0] / firings <= 20
+
+    @pytest.mark.parametrize("row", ["sequential", "inprocess-4"])
+    def test_elements_hash_and_compare_without_python_frames(self, row):
+        values = list(range(2000))
+        random.Random(5).shuffle(values)
+        initial = values_multiset(values)
+        if row == "sequential":
+            execute = lambda: SequentialEngine().run(min_element(), initial)
+        else:
+            execute = lambda: _distributed_run(initial)
+        frames, result = self._python_dunder_frames(execute)
+        assert result.final.values_with_label("x") == [0]
+        assert frames == 0
 
     def test_attaching_a_scheduler_hashes_no_element(self):
         multiset = values_multiset(range(100_000))

@@ -1,10 +1,8 @@
 """Unit tests for tagged multiset elements."""
 
 import copy
-import dataclasses
 import hashlib
 import pickle
-from unittest import mock
 
 import pytest
 
@@ -64,8 +62,8 @@ class TestElementConstruction:
 
 
 class TestConstructorContract:
-    """The hand-written ``__init__`` keeps the generated one's contract:
-    checks, their order and messages, signature, pickling and hashing."""
+    """The constructor's contract: checks, their order and messages,
+    signature, pickling and hashing."""
 
     @pytest.mark.parametrize(
         "args, error, message",
@@ -111,11 +109,9 @@ class TestConstructorContract:
     @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_round_trip(self, protocol):
         e = Element((1, "x"), "B", 3)
-        e.stable_hash()
         back = pickle.loads(pickle.dumps(e, protocol))
-        assert back == e and hash(back) == hash(e) and back.as_tuple() == e.as_tuple()
-        assert back._stable == e._stable
-        assert pickle.loads(pickle.dumps(Element(1), protocol))._stable is None
+        assert type(back) is Element and back == e and back.as_tuple() == e.as_tuple()
+        assert hash(back) == hash(e) and back.stable_hash() == e.stable_hash()
 
     def test_wal_and_wire_payloads_round_trip(self):
         pairs = [(Element(1, "a", 0), 2), (Element(2.5, "b", 4), 1), (Element(True, "c"), 3)]
@@ -132,10 +128,10 @@ class TestConstructorContract:
         clone = copy.deepcopy(e)
         assert clone == e and hash(clone) == hash(e)
         assert copy.copy(e) == e
-        moved = dataclasses.replace(e, tag=4)
+        moved = e.with_tag(4)
         assert moved.as_tuple() == (3, "B", 4) and hash(moved) == hash((3, "B", 4))
         with pytest.raises(ValueError):
-            dataclasses.replace(e, tag=-1)
+            e.with_tag(-1)
 
     def test_hash_and_equality_of_equal_numbers(self):
         elements = [Element(value, "x", 2) for value in (True, 1, 1.0)]
@@ -145,15 +141,12 @@ class TestConstructorContract:
         assert [type(e.value) for e in elements] == [bool, int, float]
         assert Element(1, "x") != Element(1, "y") and Element(1, "x") != Element(1, "x", 1)
 
-    def test_stable_hash_is_computed_on_first_use_only(self):
+    def test_stable_hash_is_a_deterministic_digest(self):
         e = Element(7, "L", 1)
-        assert e._stable is None
-        with mock.patch.object(hashlib, "blake2b", wraps=hashlib.blake2b) as digest:
-            first = e.stable_hash()
-            assert e.stable_hash() == first
-        assert digest.call_count == 1
-        assert e._stable == first
-        assert Element(7.0, "L", 1).stable_hash() == first
+        digest = hashlib.blake2b(repr((7, "L", 1)).encode("utf-8"), digest_size=8).digest()
+        assert e.stable_hash() == e.stable_hash() == int.from_bytes(digest, "big")
+        assert Element(7.0, "L", 1).stable_hash() == e.stable_hash()
+        assert Element(True, "L", 1).stable_hash() == Element(1, "L", 1).stable_hash()
 
 
 class TestElementOperations:
@@ -183,6 +176,55 @@ class TestElementOperations:
         e = Element(1, "A", 0)
         with pytest.raises(Exception):
             e.value = 2
+
+
+class TestNotAPlainTuple:
+    """An Element is a tuple underneath, and no plain tuple stands in for one."""
+
+    def test_fields_are_read_only_and_no_others_exist(self):
+        e = Element(1, "A", 0)
+        for field in ("value", "label", "tag", "other"):
+            with pytest.raises(AttributeError):
+                setattr(e, field, 2)
+        assert e.as_tuple() == (1, "A", 0)
+
+    def test_equality_against_tuples_in_both_directions(self):
+        e = Element(1, "a", 0)
+        assert not e == (1, "a", 0) and not (1, "a", 0) == e
+        assert e != (1, "a", 0) and (1, "a", 0) != e
+        assert e == Element(1, "a") and not e != Element(1, "a")
+        assert e != [1, "a", 0] and e != "x"
+
+    def test_set_and_dict_membership(self):
+        e = Element(1, "a", 0)
+        assert hash(e) == hash((1, "a", 0))
+        assert (1, "a", 0) not in {e} and e not in {(1, "a", 0)}
+        assert Element(1, "a", 0) in {e} and {e: 4}[Element(1.0, "a")] == 4
+        assert len({e, (1, "a", 0)}) == 2
+
+    @pytest.mark.parametrize("other", [Element(2, "a"), (2, "a", 0), (0,)])
+    def test_no_ordering(self, other):
+        e = Element(1, "a", 0)
+        for compare in (
+            lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b
+        ):
+            with pytest.raises(TypeError):
+                compare(e, other)
+            with pytest.raises(TypeError):
+                compare(other, e)
+
+    def test_coercions_return_the_same_element(self):
+        from repro.multiset import Multiset
+        from repro.runtime.net.gateway import _coerce_pairs
+        from repro.runtime.streaming import _coerce
+
+        e = Element(1, "a", 0)
+        assert Multiset._coerce(e) is e and _coerce(e) is e
+        assert make_elements([e])[0] is e
+        assert _coerce_pairs([e]) == [(e, 1)] and _coerce_pairs([e])[0][0] is e
+        assert _coerce_pairs([(e, 3)])[0][0] is e
+        with pytest.raises(TypeError, match="expected a tuple, got Element"):
+            Element.from_tuple(e)
 
 
 class TestMakeElements:

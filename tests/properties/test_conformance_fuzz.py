@@ -24,6 +24,7 @@ the socket ingestion gateway instead of direct injection (ISSUE 9).
 """
 
 import multiprocessing
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,6 +42,7 @@ from repro.multiset import ColumnarStore, Element, Multiset
 from repro.multiset import columnar as columnar_module
 from repro.runtime import ElasticityPolicy
 from repro.runtime.sharding import ShardCoordinator
+from repro.runtime.sharding import mp as mp_module
 from repro.runtime.streaming import StreamingGammaRuntime
 from repro.workloads import make_workload
 from repro.api import RuntimeConfig
@@ -160,6 +162,17 @@ class TestWorkloadConformance:
         final = _execute(
             workload.program, workload.initial, "multiprocessing", seed, shards
         )
+        assert final == reference
+
+    def test_multiprocessing_backend_agrees_under_spawn(self):
+        """Under the spawn start method nothing is inherited: the reactions
+        and every element reach the workers by pickle, so each worker hashes
+        them under its own ``PYTHONHASHSEED``."""
+        workload = make_workload("remove_duplicates", size=12, seed=2)
+        reference = _reference(workload.program, workload.initial)
+        spawn = multiprocessing.get_context("spawn")
+        with mock.patch.object(mp_module.multiprocessing, "get_context", lambda method=None: spawn):
+            final = _execute(workload.program, workload.initial, "multiprocessing", 3, 2)
         assert final == reference
 
 
